@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check fmt vet lint lint-human build test race bench-json fuzz-smoke
+.PHONY: check fmt vet lint lint-human build test bench-smoke race bench-json fuzz-smoke
 
 ## check: the full pre-PR gate. Everything below must pass before merging.
-check: fmt vet lint-human build test race
+check: fmt vet lint-human build test bench-smoke race
 	@echo "check: OK"
 
 fmt:
@@ -36,6 +36,13 @@ build:
 
 test: build
 	$(GO) test ./...
+
+## bench-smoke: the benchmark module's own tests (every BENCHMARK.json
+## workload, untraced and traced, at a tiny budget; ~10 s). bench/ is a
+## separate Go module, so `go test ./...` at the root never reaches it, and
+## these tests are the only check that BENCHMARK.json and the code agree.
+bench-smoke:
+	cd bench && $(GO) test ./...
 
 ## race: the packages with cross-structure pointer protocols, the
 ## parallel experiment runner and the job-queue server get an extra

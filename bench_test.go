@@ -301,18 +301,32 @@ func BenchmarkAblationMergePoint(b *testing.B) {
 	}
 }
 
+// simSpeedWarmup and simSpeedInstrs are the SimSpeed benchmarks' budget:
+// each op simulates 300k instructions, 100k of warmup and 200k measured.
+const (
+	simSpeedWarmup = 100_000
+	simSpeedInstrs = 200_000
+)
+
+// reportSimSpeed reports simulated instructions (warmup included) per wall
+// second over the benchmark's b.N ops.
+func reportSimSpeed(b *testing.B) {
+	b.ReportMetric(float64(b.N)*(simSpeedWarmup+simSpeedInstrs)/b.Elapsed().Seconds(), "sim_instr/s")
+}
+
 // BenchmarkBaselineSimSpeed measures raw simulator throughput
 // (instructions simulated per wall second) on the baseline core.
 func BenchmarkBaselineSimSpeed(b *testing.B) {
 	scale := workloads.SmallScale()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Run("mcf_17", RunConfig{Warmup: 0, MaxInstrs: 200_000, Scale: &scale})
+		res, err := Run("mcf_17", RunConfig{Warmup: simSpeedWarmup, MaxInstrs: simSpeedInstrs, Scale: &scale})
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ReportMetric(res.IPC, "sim_ipc")
 	}
+	reportSimSpeed(b)
 }
 
 // BenchmarkTraceReplaySpeed measures simulator throughput replaying a
@@ -326,8 +340,7 @@ func BenchmarkTraceReplaySpeed(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Warmup 0 means the root API's 100k default; the trace must cover it.
-	tr, err := btrace.Record(w.Prog, w.Name, btrace.StepsFor(100_000, 200_000))
+	tr, err := btrace.Record(w.Prog, w.Name, btrace.StepsFor(simSpeedWarmup, simSpeedInstrs))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -340,12 +353,13 @@ func BenchmarkTraceReplaySpeed(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Run("trace:bench-replay", RunConfig{Warmup: 0, MaxInstrs: 200_000, Scale: &scale})
+		res, err := Run("trace:bench-replay", RunConfig{Warmup: simSpeedWarmup, MaxInstrs: simSpeedInstrs, Scale: &scale})
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ReportMetric(res.IPC, "sim_ipc")
 	}
+	reportSimSpeed(b)
 }
 
 // BenchmarkRunaheadSimSpeed measures throughput with the DCE attached.
@@ -354,20 +368,21 @@ func BenchmarkRunaheadSimSpeed(b *testing.B) {
 	cfg := Mini()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Run("mcf_17", RunConfig{BR: &cfg, Warmup: 0, MaxInstrs: 200_000, Scale: &scale})
+		res, err := Run("mcf_17", RunConfig{BR: &cfg, Warmup: simSpeedWarmup, MaxInstrs: simSpeedInstrs, Scale: &scale})
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ReportMetric(res.IPC, "sim_ipc")
 	}
+	reportSimSpeed(b)
 }
 
 // BenchmarkSimulation is the canonical hot-path benchmark: one Mini
 // Branch Runahead simulation with tracing disabled. It reports allocs/op
-// so the per-fetch checkpoint free-lists are held to account — the
-// steady-state simulation loop must not allocate per conditional-branch
-// fetch (remaining allocations are per-uop DynUop construction and
-// per-run setup).
+// so the free-lists are held to account: the core's loop allocates
+// nothing in steady state (TestCoreCycleAllocFree), so what remains is
+// per-run setup and the runahead layer, nearly all of it DCE chain
+// instances (DCE.launch).
 func BenchmarkSimulation(b *testing.B) {
 	scale := workloads.SmallScale()
 	cfg := Mini()

@@ -42,6 +42,9 @@ type Core struct {
 	fetchQ []*DynUop
 	rob    []*DynUop
 	rs     []*DynUop
+	// issued holds the executing micro-ops (StIssued), in issue order;
+	// complete takes them out as their results arrive.
+	issued []*DynUop
 
 	lastWriter [isa.NumRegs]*DynUop
 	lsqCount   int
@@ -83,9 +86,12 @@ type Core struct {
 	// rob and fetchQ windows; pure storage, rebuilt by the constructor.
 	robBuf    []*DynUop //brlint:allow snapshot-coverage
 	fetchQBuf []*DynUop //brlint:allow snapshot-coverage
-	// resolvedBuf/squashBuf are per-event scratch, dead between uses.
-	resolvedBuf []*DynUop //brlint:allow snapshot-coverage
-	squashBuf   []*DynUop //brlint:allow snapshot-coverage
+	// doneBuf/squashBuf/syncRegs are per-event scratch, dead between uses.
+	// syncRegs carries the corrected registers to BranchResolved without a
+	// heap copy per recovery.
+	doneBuf   []*DynUop   //brlint:allow snapshot-coverage
+	squashBuf []*DynUop   //brlint:allow snapshot-coverage
+	syncRegs  emu.RegFile //brlint:allow snapshot-coverage
 	// bsSlab is the BranchStat bump allocator: fresh zeroed chunks handed
 	// out by reslice, never recycled (entries live in Branches, which the
 	// codec serializes).
@@ -204,7 +210,8 @@ func NewWithSource(cfg Config, src InstrSource, bp bpred.Predictor, hier Hierarc
 	c.fetchQ = c.fetchQBuf[:0]
 	c.rs = make([]*DynUop, 0, cfg.RSSize)
 	c.issueBuf = make([]*DynUop, 0, cfg.RSSize)
-	c.resolvedBuf = make([]*DynUop, 0, cfg.ROBSize)
+	c.issued = make([]*DynUop, 0, cfg.ROBSize)
+	c.doneBuf = make([]*DynUop, 0, cfg.ROBSize)
 	c.squashBuf = make([]*DynUop, cfg.ROBSize)
 	return c
 }
@@ -287,9 +294,9 @@ func (c *Core) skipDeadCycles() {
 // Drain suspends fetch and cycles the machine until every in-flight
 // micro-op has retired or been squashed: the quiesce barrier ahead of a
 // snapshot. After a successful drain the ROB, reservation stations, fetch
-// queue, LSQ, store overlay and wrong-path tracker are all empty, and the
-// rename table is cleared (its surviving entries could only be stale retired
-// producers). Fetch resumes on the next Cycle.
+// queue, issued list, LSQ, store overlay and wrong-path tracker are all
+// empty, every DynUop is back in the pool, and the rename table is clear.
+// Fetch resumes on the next Cycle.
 func (c *Core) Drain() error {
 	c.fetchDisabled = true
 	defer func() { c.fetchDisabled = false }()
@@ -300,12 +307,11 @@ func (c *Core) Drain() error {
 		}
 		c.Cycle()
 	}
-	if c.lsqCount != 0 || c.mispFetchedUnresolved != 0 || len(c.fe.stores) != 0 {
-		return fmt.Errorf("core: drained pipeline left residue (lsq=%d wrongPath=%d stores=%d)",
-			c.lsqCount, c.mispFetchedUnresolved, len(c.fe.stores))
+	if c.lsqCount != 0 || c.mispFetchedUnresolved != 0 || len(c.fe.stores) != 0 ||
+		len(c.issued) != 0 || !c.fe.poolFull() || c.lastWriter != [isa.NumRegs]*DynUop{} {
+		return fmt.Errorf("core: drained pipeline left residue (lsq=%d wrongPath=%d stores=%d issued=%d pooled=%d/%d)",
+			c.lsqCount, c.mispFetchedUnresolved, len(c.fe.stores), len(c.issued), len(c.fe.free), len(c.fe.uops))
 	}
-	c.lastWriter = [isa.NumRegs]*DynUop{}
-	c.issueBuf = c.issueBuf[:0]
 	return nil
 }
 
@@ -363,7 +369,18 @@ func (c *Core) retire() {
 		if d.IsCondBr {
 			c.releaseSnaps(d)
 		}
-		if d.U.Op == isa.OpHalt {
+		// d's result now lives in architectural state: drop it from the
+		// rename table and recycle it. Younger micro-ops that still point
+		// at it see a Seq mismatch once it is handed out again.
+		de := &c.dec[d.U.PC]
+		for _, r := range de.dsts[:de.ndst] {
+			if c.lastWriter[r] == d {
+				c.lastWriter[r] = nil
+			}
+		}
+		halt := d.U.Op == isa.OpHalt
+		c.fe.releaseDynUop(d)
+		if halt {
 			c.haltRetired = true
 			return
 		}
@@ -411,27 +428,40 @@ func (c *Core) retireBranch(d *DynUop) {
 // -------------------------------------------------------------- complete --
 
 func (c *Core) complete() {
-	// Collect micro-ops whose execution finishes by now. The ROB walk is in
-	// program (sequence) order, so the resolved list is already oldest
-	// first and branch recoveries trigger in program order without a sort.
-	resolved := c.resolvedBuf[:0]
-	n := 0
-	for _, d := range c.rob {
-		if d.State == StIssued && d.DoneAt <= c.now {
-			d.State = StDone
-			c.trace("complete", d)
-			if d.IsCondBr {
-				resolved = resolved[:n+1]
-				resolved[n] = d
-				n++
-			}
+	// Take the micro-ops whose execution finishes by now out of the issued
+	// list, which is in issue order, not program order.
+	done, nd := c.doneBuf[:0], 0
+	live, nl := c.issued[:0], 0
+	for _, d := range c.issued {
+		if d.DoneAt <= c.now {
+			done = done[:nd+1]
+			done[nd] = d
+			nd++
+		} else {
+			live = live[:nl+1]
+			live[nl] = d
+			nl++
 		}
 	}
-	for _, d := range resolved {
-		if d.State == StSquashed {
-			continue
+	c.issued = live
+	// Insertion-sort the few finished ones into program (Seq) order, so
+	// completion traces and branch recoveries happen oldest first.
+	for i := 1; i < nd; i++ {
+		for j := i; j > 0 && done[j].Seq < done[j-1].Seq; j-- {
+			done[j], done[j-1] = done[j-1], done[j]
 		}
-		c.resolveBranch(d)
+	}
+	for _, d := range done {
+		d.State = StDone
+		c.trace("complete", d)
+	}
+	for _, d := range done {
+		// An older branch's recovery earlier in this loop may have
+		// squashed d; its DynUop is pooled but not handed out again before
+		// fetch, so the state still reads StSquashed.
+		if d.IsCondBr && d.State != StSquashed {
+			c.resolveBranch(d)
+		}
 	}
 }
 
@@ -485,8 +515,8 @@ func (c *Core) resolveBranch(d *DynUop) {
 	if mispred {
 		c.recoverAt(d)
 		if !d.WrongPath {
-			regs := c.fe.regs
-			correctRegs = &regs
+			c.syncRegs = c.fe.regs
+			correctRegs = &c.syncRegs
 			c.Ctr.Recoveries.Inc()
 		}
 	}
@@ -515,34 +545,30 @@ func (c *Core) recoverAt(d *DynUop) {
 		c.ext.Flush(c.now, d, squashed)
 	}
 	c.trace("flush", d)
+	// Squashed micro-ops go back to the pool. Each keeps its Seq and
+	// StSquashed state until it is handed out again at fetch.
 	for _, e := range squashed {
-		if e.State != StSquashed {
-			if e.U.Op.IsMem() {
-				c.lsqCount--
-			}
-			c.releaseWP(e)
-			c.releaseSnaps(e)
-			e.State = StSquashed
-			c.trace("squash", e)
+		if e.U.Op.IsMem() {
+			c.lsqCount--
 		}
+		c.releaseWP(e)
+		c.releaseSnaps(e)
+		e.State = StSquashed
+		c.trace("squash", e)
+		c.fe.releaseDynUop(e)
 	}
 	// Squash the entire fetch queue (it is younger than any ROB entry).
 	for _, e := range c.fetchQ {
 		c.releaseWP(e)
 		c.releaseSnaps(e)
 		e.State = StSquashed
+		c.fe.releaseDynUop(e)
 	}
 	c.fetchQ = c.fetchQ[:0]
-	// Drop squashed reservation-station entries (in place, order kept).
-	live, nl := c.rs[:0], 0
-	for _, e := range c.rs {
-		if e.State == StInRS {
-			live = live[:nl+1]
-			live[nl] = e
-			nl++
-		}
-	}
-	c.rs = live
+	// Drop squashed reservation-station and issued-list entries (in place,
+	// order kept).
+	c.rs = dropSquashed(c.rs)
+	c.issued = dropSquashed(c.issued)
 	// Rebuild the register rename table from the surviving ROB.
 	c.lastWriter = [isa.NumRegs]*DynUop{}
 	for _, e := range c.rob {
@@ -569,6 +595,19 @@ func (c *Core) recoverAt(d *DynUop) {
 	if c.tr.Enabled() {
 		c.tr.Emit(trace.Event{Cycle: c.now, PC: d.U.PC, Seq: d.Seq, Kind: trace.KindRecovery})
 	}
+}
+
+// dropSquashed filters squashed micro-ops out of q in place, keeping order.
+func dropSquashed(q []*DynUop) []*DynUop {
+	live, nl := q[:0], 0
+	for _, e := range q {
+		if e.State != StSquashed {
+			live = live[:nl+1]
+			live[nl] = e
+			nl++
+		}
+	}
+	return live
 }
 
 // ----------------------------------------------------------------- issue --
@@ -637,22 +676,29 @@ func (c *Core) issue() int {
 }
 
 func (c *Core) uopReady(d *DynUop) bool {
-	for _, p := range d.prods[:d.nprods] {
-		if !p.Done(c.now) && p.State != StSquashed {
+	for i, p := range d.prods[:d.nprods] {
+		if c.withholds(p, d.prodSeq[i]) {
 			return false
 		}
 	}
-	if d.IsLoad() && d.storeDep != nil {
-		sd := d.storeDep
-		if sd.State != StSquashed && sd.State != StRetired && !sd.Done(c.now) {
-			return false
-		}
+	if d.IsLoad() && d.storeDep != nil && c.withholds(d.storeDep, d.storeSeq) {
+		return false
 	}
 	return true
 }
 
+// withholds reports whether producer p, linked while its Seq was seq, has
+// yet to make its result available. A Seq mismatch means p retired and its
+// DynUop was handed out again; a squashed producer never delivers, and its
+// consumers are squashed with it.
+func (c *Core) withholds(p *DynUop, seq uint64) bool {
+	return p.Seq == seq && p.State != StSquashed && !p.Done(c.now)
+}
+
 func (c *Core) execute(d *DynUop) {
 	d.State = StIssued
+	c.issued = c.issued[:len(c.issued)+1]
+	c.issued[len(c.issued)-1] = d
 	c.trace("issue", d)
 	c.Ctr.Issued.Inc()
 	switch {
@@ -713,8 +759,11 @@ func (c *Core) dispatch() {
 func (c *Core) rename(d *DynUop) {
 	de := &c.dec[d.U.PC]
 	for _, r := range de.srcs[:de.nsrc] {
-		if w := c.lastWriter[r]; w != nil && w.State != StSquashed && w.State != StRetired {
+		// The rename table holds only in-flight micro-ops: retire clears
+		// a writer's entries and recovery rebuilds the table from the ROB.
+		if w := c.lastWriter[r]; w != nil {
 			d.prods[d.nprods] = w
+			d.prodSeq[d.nprods] = w.Seq
 			d.nprods++
 		}
 	}

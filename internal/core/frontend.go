@@ -39,10 +39,12 @@ type frontend struct {
 	// overlay; pure storage, rebuilt by the constructor.
 	storeBuf []storeRec
 
-	// slab is the DynUop bump allocator: fresh zeroed chunks handed out by
-	// reslice and never recycled, so one allocation serves slabSize fetched
-	// micro-ops. Pure allocation scratch, rebuilt empty.
-	slab []DynUop
+	// uops is the DynUop pool and free its free stack. Every fetched
+	// micro-op sits in the fetch queue or the ROB until it retires or is
+	// squashed, so FetchQSize+ROBSize micro-ops are the most that can be in
+	// flight and the stack never runs dry. Pure storage, rebuilt full.
+	uops []DynUop
+	free []*DynUop
 
 	// invalid is set when fetch has run off the program (possible only on
 	// the wrong path); fetch stalls until a recovery redirects it.
@@ -54,28 +56,51 @@ type frontend struct {
 	srcErr error
 }
 
-// slabSize is the DynUop bump-allocator chunk length.
-const slabSize = 4096
-
-// newFrontend builds a fetch engine over src; storeBound is the
-// architectural bound on in-flight stores (every un-retired store sits in
-// the fetch queue or the ROB).
-func newFrontend(src InstrSource, storeBound int) *frontend {
+// newFrontend builds a fetch engine over src; inFlight is the
+// architectural bound on in-flight micro-ops (every un-retired micro-op
+// sits in the fetch queue or the ROB), which sizes both the DynUop pool and
+// the store overlay.
+func newFrontend(src InstrSource, inFlight int) *frontend {
 	f := &frontend{src: src, mem: src.Memory(), pc: src.Entry()}
-	f.storeBuf = make([]storeRec, 2*storeBound)
+	f.storeBuf = make([]storeRec, 2*inFlight)
 	f.stores = f.storeBuf[:0]
+	f.uops = make([]DynUop, inFlight)
+	f.free = make([]*DynUop, 0, inFlight)
+	f.refillPool()
 	return f
 }
 
-// newDynUop hands out one zeroed DynUop from the slab.
-func (f *frontend) newDynUop() *DynUop {
-	if len(f.slab) == 0 {
-		// Amortized slab refill: one allocation per slabSize micro-ops.
-		f.slab = make([]DynUop, slabSize) //brlint:allow hot-path-alloc
+// refillPool returns every DynUop to the free stack; only valid when none
+// is in flight (construction, snapshot restore).
+func (f *frontend) refillPool() {
+	f.free = f.free[:len(f.uops)]
+	for i := range f.uops {
+		f.free[i] = &f.uops[i]
 	}
-	d := &f.slab[0]
-	f.slab = f.slab[1:]
+}
+
+// poolFull reports whether every DynUop is back on the free stack.
+func (f *frontend) poolFull() bool { return len(f.free) == len(f.uops) }
+
+// newDynUop pops a DynUop off the free stack and zeroes it. Zeroing here,
+// not at release, keeps a released micro-op's Seq and State readable until
+// it is handed out again.
+func (f *frontend) newDynUop() *DynUop {
+	n := len(f.free) - 1
+	if n < 0 {
+		panic("core: DynUop pool exhausted (more micro-ops in flight than FetchQSize+ROBSize)")
+	}
+	d := f.free[n]
+	f.free = f.free[:n]
+	*d = DynUop{}
 	return d
+}
+
+// releaseDynUop pushes a retired or squashed DynUop back on the free stack.
+func (f *frontend) releaseDynUop(d *DynUop) {
+	n := len(f.free)
+	f.free = f.free[:n+1]
+	f.free[n] = d
 }
 
 // Load implements emu.MemView: committed memory patched with in-flight
@@ -110,7 +135,8 @@ func (f *frontend) checkpoint() feCheckpoint {
 }
 
 // recover restores the checkpointed state, rewinds the source, trims
-// wrong-path stores and redirects fetch to pc.
+// wrong-path stores and redirects fetch to pc. The trimmed stores' DynUops
+// are already back in the pool, but keep their Seq until handed out again.
 func (f *frontend) recover(cp feCheckpoint, pc uint64, causeSeq uint64) {
 	f.regs = cp.regs
 	f.src.SetPos(cp.pos)
@@ -168,7 +194,7 @@ func (f *frontend) fetchUop(seq uint64, wrongPath bool) *DynUop {
 		for j := len(f.stores) - 1; j >= 0; j-- {
 			sr := &f.stores[j]
 			if d.Res.MemAddr < sr.addr+uint64(sr.size) && sr.addr < d.Res.MemAddr+uint64(d.Res.MemSize) {
-				d.storeDep = sr.d
+				d.storeDep, d.storeSeq = sr.d, sr.d.Seq
 				break
 			}
 		}

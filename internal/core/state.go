@@ -73,6 +73,8 @@ func (c *Core) LoadState(r *brstate.Reader) error {
 	c.fetchQ = c.fetchQ[:0]
 	c.rob = c.rob[:0]
 	c.rs = c.rs[:0]
+	c.issued = c.issued[:0]
+	c.fe.refillPool()
 	c.lastWriter = [isa.NumRegs]*DynUop{}
 	c.lsqCount = 0
 	c.mispFetchedUnresolved = 0

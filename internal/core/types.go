@@ -136,7 +136,12 @@ const (
 	StSquashed
 )
 
-// DynUop is one dynamic micro-op instance.
+// DynUop is one dynamic micro-op instance. The core recycles DynUops
+// through a fixed pool: a *DynUop is valid from fetch until the micro-op
+// retires or is squashed, after which the same memory is handed out for a
+// younger micro-op. Nothing may hold one past that point unless it also
+// records Seq and compares it before use; extension hooks must not keep the
+// pointers they are passed.
 type DynUop struct {
 	Seq uint64
 	U   *isa.Uop
@@ -166,9 +171,15 @@ type DynUop struct {
 
 	// Scheduling state. prods is inline storage for the (at most three)
 	// in-flight producers rename resolves; nprods is the live count.
+	// storeDep is the older in-flight store a load forwards from. DynUops
+	// are pooled, so a producer may retire and its DynUop be handed out
+	// again while this one waits: prodSeq and storeSeq record each
+	// target's Seq at link time, and a mismatch means it has retired.
 	prods    [3]*DynUop
+	prodSeq  [3]uint64
 	nprods   uint8
 	storeDep *DynUop
+	storeSeq uint64
 	State    UopState
 	ReadyAt  uint64 // earliest dispatch cycle (fetch + frontend depth)
 	DoneAt   uint64
@@ -190,7 +201,8 @@ func (d *DynUop) Done(now uint64) bool {
 }
 
 // Extension is the hook surface Branch Runahead plugs into. A nil extension
-// yields the unmodified baseline core.
+// yields the unmodified baseline core. A *DynUop passed to a hook is owned
+// by the core: the hook may read it during the call but must not keep it.
 type Extension interface {
 	// FetchCondBranch may override the baseline prediction for a
 	// conditional branch at fetch. It returns the final prediction and
@@ -209,7 +221,7 @@ type Extension interface {
 	// BranchResolved is called when a conditional branch executes.
 	// correctRegs is the architectural register state at the branch (the
 	// live-in source for chain synchronization); it is only non-nil for
-	// mispredicted correct-path branches.
+	// mispredicted correct-path branches, and only valid during the call.
 	BranchResolved(now uint64, d *DynUop, correctRegs *emu.RegFile)
 	// Flush is called on a pipeline flush with the squashed micro-ops in
 	// program order (the forward ROB walk the Wrong Path Buffer performs).
