@@ -22,7 +22,6 @@
 package branchrunahead
 
 import (
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/runahead"
 	"repro/internal/sim"
@@ -114,19 +113,15 @@ func Run(workload string, cfg RunConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc := sim.Config{
-		Core:      core.DefaultConfig(),
-		Predictor: cfg.Predictor,
-		BR:        cfg.BR,
-		Warmup:    cfg.Warmup,
-		MaxInstrs: cfg.MaxInstrs,
-		Trace:     cfg.Trace,
+	sc := sim.DefaultConfig()
+	sc.Predictor = cfg.Predictor
+	sc.BR = cfg.BR
+	sc.Trace = cfg.Trace
+	if cfg.Warmup > 0 {
+		sc.Warmup = cfg.Warmup
 	}
-	if sc.Warmup == 0 {
-		sc.Warmup = 100_000
-	}
-	if sc.MaxInstrs == 0 {
-		sc.MaxInstrs = 1_000_000
+	if cfg.MaxInstrs > 0 {
+		sc.MaxInstrs = cfg.MaxInstrs
 	}
 	return sim.Run(w, sc)
 }

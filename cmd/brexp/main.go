@@ -11,10 +11,16 @@
 //	brexp -cache-dir .brexp-cache # skip points already computed by earlier invocations
 //	brexp -cache-dir .brexp-cache -resume   # also resume points interrupted mid-run
 //
-// Single-point mode runs one (workload, predictor, BR) combination — the
-// workload may be a recorded trace, replayed through the full machine:
+// Single-point mode runs one (workload, predictor, BR) combination through
+// the same cache as the figures and prints its metrics, plus the Branch
+// Runahead summary (chains, DCE work, merge-point accuracy, Figure 12
+// breakdown) when -br is set; -json prints the whole result, chain-cache
+// contents and per-branch counts included. The workload may be a recorded
+// trace, replayed through the full machine:
 //
 //	brexp -workload mcf_17 -br mini
+//	brexp -workload astar_06 -br mini -json     # chain dumps, per-branch stats
+//	brexp -workload mcf_17 -predictor bullseye  # swap the predictor
 //	brtrace record -workload leela_17 -o leela.btr
 //	brexp -workload trace:leela.btr
 //
@@ -38,6 +44,8 @@ import (
 	"strings"
 
 	br "repro"
+	"repro/internal/runahead"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -59,13 +67,13 @@ func main() {
 		memProfile  = flag.String("memprofile", "", "write a heap profile to this path on exit")
 
 		workloadRun = flag.String("workload", "", "run one simulation point instead of figures: a kernel name or trace:<file.btr> (see -predictor/-br)")
-		predictor   = flag.String("predictor", "tage64", "predictor for -workload mode")
-		brConfig    = flag.String("br", "", "Branch Runahead config for -workload mode: core-only|mini|big (empty = predictor alone)")
+		predictor   = flag.String("predictor", sim.PredTage64.String(), "predictor for -workload mode: "+strings.Join(sim.PredictorNames(), "|"))
+		brConfig    = flag.String("br", "", "Branch Runahead config for -workload mode: "+strings.Join(runahead.ConfigNames(), "|")+" (empty = predictor alone)")
 
 		traceOut      = flag.String("trace", "", "write a Chrome trace_event JSON of one run to this path and exit")
 		traceFilter   = flag.String("trace-filter", "", "only trace events for one branch: pc=0x...")
 		traceWorkload = flag.String("trace-workload", "leela_17", "workload for -trace mode")
-		traceConfig   = flag.String("trace-config", "mini", "configuration for -trace mode: baseline|coreonly|mini|big")
+		traceConfig   = flag.String("trace-config", "mini", "configuration for -trace mode: baseline|"+strings.Join(runahead.ConfigNames(), "|"))
 	)
 	flag.Parse()
 
@@ -156,6 +164,14 @@ func main() {
 		}
 		fmt.Printf("%s under %s: IPC %.4f  MPKI %.4f  (%d instrs, %d cycles, %d mispredicts)\n",
 			res.Workload, res.Config, res.IPC, res.MPKI, res.Instrs, res.Cycles, res.Mispred)
+		if *brConfig != "" {
+			fmt.Printf("chains     %d installed, avg %.1f uops, %.0f%% with affector/guard triggers\n",
+				res.Chains, res.AvgChainLen, 100*res.AGFraction)
+			fmt.Printf("DCE        %d uops (%d loads), %d syncs\n", res.DCEUops, res.DCELoads, res.Syncs)
+			fmt.Printf("merge acc  %.0f%% (WPB) vs %.0f%% (layout heuristic)\n",
+				100*res.MergeAcc, 100*res.MergeAccLayout)
+			fmt.Printf("breakdown  %v\n", res.Breakdown)
+		}
 		return
 	}
 

@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	br "repro"
+	"repro/internal/runahead"
 	"repro/internal/trace"
 )
 
@@ -23,28 +24,9 @@ type traceOptions struct {
 	out      string // output JSON path
 	filter   string // "pc=0x..." or empty
 	workload string
-	config   string // baseline | coreonly | mini | big
+	config   string // baseline or a runahead.ConfigNames name
 	warmup   uint64
 	instrs   uint64
-}
-
-// brConfigByName maps the -trace-config flag onto the Table 2 variants.
-func brConfigByName(name string) (*br.BRConfig, error) {
-	switch strings.ToLower(name) {
-	case "baseline":
-		return nil, nil
-	case "coreonly":
-		cfg := br.CoreOnly()
-		return &cfg, nil
-	case "mini":
-		cfg := br.Mini()
-		return &cfg, nil
-	case "big":
-		cfg := br.Big()
-		return &cfg, nil
-	default:
-		return nil, fmt.Errorf("unknown config %q (want baseline|coreonly|mini|big)", name)
-	}
 }
 
 // parsePCFilter parses "pc=0x4a0" into a PC value.
@@ -62,9 +44,13 @@ func parsePCFilter(s string) (uint64, error) {
 
 // runTrace executes the -trace mode and returns an exit error, if any.
 func runTrace(opts traceOptions) error {
-	brCfg, err := brConfigByName(opts.config)
-	if err != nil {
-		return err
+	var brCfg *br.BRConfig
+	if opts.config != "baseline" {
+		cfg, err := runahead.ConfigByName(opts.config)
+		if err != nil {
+			return err
+		}
+		brCfg = &cfg
 	}
 
 	f, err := os.Create(opts.out)

@@ -170,9 +170,9 @@ func (c *Cache) AttachPrefetcher(pf *StreamPrefetcher, fillInto *Cache) {
 	pf.fill = fillInto
 }
 
-// SetTracer attaches a structured event tracer; unit is the trace.Unit*
+// SetTrace attaches a structured event tracer; unit is the trace.Unit*
 // constant identifying this level. A nil tracer disables emission.
-func (c *Cache) SetTracer(tr *trace.Tracer, unit uint64) {
+func (c *Cache) SetTrace(tr *trace.Tracer, unit uint64) {
 	c.tr = tr
 	c.trUnit = unit
 }

@@ -65,8 +65,7 @@ type Core struct {
 	fetchDisabled bool //brlint:allow snapshot-coverage
 
 	// Tracer wiring is re-attached by the machine builder, not the codec.
-	tracer Tracer        //brlint:allow snapshot-coverage
-	tr     *trace.Tracer //brlint:allow snapshot-coverage
+	tr *trace.Tracer //brlint:allow snapshot-coverage
 
 	// Stats.
 	C *stats.Counters
@@ -347,7 +346,7 @@ func (c *Core) retire() {
 		}
 		c.rob = c.rob[1:]
 		d.State = StRetired
-		c.trace("retire", d)
+		c.traceUop(trace.StageRetire, d)
 		c.Ctr.Retired.Inc()
 		if c.bpObs != nil {
 			c.bpObs.ObserveRetire(d.U.PC, d.Res.Value)
@@ -453,7 +452,7 @@ func (c *Core) complete() {
 	}
 	for _, d := range done {
 		d.State = StDone
-		c.trace("complete", d)
+		c.traceUop(trace.StageComplete, d)
 	}
 	for _, d := range done {
 		// An older branch's recovery earlier in this loop may have
@@ -544,7 +543,7 @@ func (c *Core) recoverAt(d *DynUop) {
 		// micro-ops in program order, starting just after the branch.
 		c.ext.Flush(c.now, d, squashed)
 	}
-	c.trace("flush", d)
+	c.traceUop(trace.StageFlush, d)
 	// Squashed micro-ops go back to the pool. Each keeps its Seq and
 	// StSquashed state until it is handed out again at fetch.
 	for _, e := range squashed {
@@ -554,7 +553,7 @@ func (c *Core) recoverAt(d *DynUop) {
 		c.releaseWP(e)
 		c.releaseSnaps(e)
 		e.State = StSquashed
-		c.trace("squash", e)
+		c.traceUop(trace.StageSquash, e)
 		c.fe.releaseDynUop(e)
 	}
 	// Squash the entire fetch queue (it is younger than any ROB entry).
@@ -699,7 +698,7 @@ func (c *Core) execute(d *DynUop) {
 	d.State = StIssued
 	c.issued = c.issued[:len(c.issued)+1]
 	c.issued[len(c.issued)-1] = d
-	c.trace("issue", d)
+	c.traceUop(trace.StageIssue, d)
 	c.Ctr.Issued.Inc()
 	switch {
 	case d.IsLoad():
@@ -746,7 +745,7 @@ func (c *Core) dispatch() {
 		c.rs = c.rs[:len(c.rs)+1]
 		c.rs[len(c.rs)-1] = d
 		d.State = StInRS
-		c.trace("dispatch", d)
+		c.traceUop(trace.StageDispatch, d)
 		if d.U.Op.IsMem() {
 			c.lsqCount++
 		}
@@ -815,7 +814,7 @@ func (c *Core) fetch() {
 		d.WrongPath = wrongPath
 		d.ReadyAt = c.now + c.cfg.FrontendDepth
 		c.fetchQ = pushQueue(c.fetchQBuf, c.fetchQ, d)
-		c.trace("fetch", d)
+		c.traceUop(trace.StageFetch, d)
 		c.Ctr.Fetched.Inc()
 		if d.WrongPath {
 			c.Ctr.FetchedWrongPath.Inc()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/bpred"
+	"repro/internal/trace"
 )
 
 // TestDrainRefillsPoolAfterRecoveries drains a recovery-heavy run at
@@ -74,25 +75,36 @@ func TestPoolBoundsInFlight(t *testing.T) {
 	}
 }
 
+// completeOrder is a trace sink that checks every cycle's KindUop
+// complete events arrive in program (Seq) order.
+type completeOrder struct {
+	lastCycle, lastSeq uint64
+	bad                []string
+}
+
+func (o *completeOrder) Emit(ev trace.Event) {
+	if ev.Kind != trace.KindUop || ev.Arg != trace.StageComplete {
+		return
+	}
+	if ev.Cycle == o.lastCycle && ev.Seq <= o.lastSeq && len(o.bad) < 5 {
+		o.bad = append(o.bad, fmt.Sprintf("cycle %d: seq %d after %d", ev.Cycle, ev.Seq, o.lastSeq))
+	}
+	o.lastCycle, o.lastSeq = ev.Cycle, ev.Seq
+}
+
 // TestCompleteInProgramOrder: the issued list is in issue order, which
 // out-of-order issue makes differ from program order, but completions
 // within a cycle are still reported (and branches resolved) oldest first.
 func TestCompleteInProgramOrder(t *testing.T) {
 	p, _, _ := nestedBranchProgram(2000, 29)
 	c := New(DefaultConfig(), p, bpred.NewTAGESCL64(), testHierarchy(), nil)
-	var lastCycle, lastSeq uint64
-	var bad []string
-	c.SetTracer(TracerFunc(func(cycle uint64, stage string, d *DynUop) {
-		if stage != "complete" {
-			return
-		}
-		if cycle == lastCycle && d.Seq <= lastSeq && len(bad) < 5 {
-			bad = append(bad, fmt.Sprintf("cycle %d: seq %d after %d", cycle, d.Seq, lastSeq))
-		}
-		lastCycle, lastSeq = cycle, d.Seq
-	}))
+	order := &completeOrder{}
+	c.SetTrace(trace.New(order))
 	runToHalt(t, c)
-	if len(bad) > 0 {
-		t.Fatalf("completions out of program order: %v", bad)
+	if order.lastSeq == 0 {
+		t.Fatal("no completion was traced")
+	}
+	if len(order.bad) > 0 {
+		t.Fatalf("completions out of program order: %v", order.bad)
 	}
 }

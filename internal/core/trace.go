@@ -8,27 +8,32 @@ import "repro/internal/trace"
 // constructs an event.
 func (c *Core) SetTrace(tr *trace.Tracer) { c.tr = tr }
 
-// Tracer observes pipeline events for debugging and visualization
-// (cmd/brtrace). Tracing is off unless SetTracer is called; the hooks cost
-// one nil check per event when disabled.
-type Tracer interface {
-	// Event reports one pipeline event for a dynamic micro-op. Stages:
-	// "fetch", "dispatch", "issue", "complete", "retire", "squash",
-	// "flush" (the recovering branch).
-	Event(cycle uint64, stage string, d *DynUop)
-}
-
-// SetTracer attaches a pipeline tracer (nil disables tracing).
-func (c *Core) SetTracer(t Tracer) { c.tracer = t }
-
-func (c *Core) trace(stage string, d *DynUop) {
-	if c.tracer != nil {
-		c.tracer.Event(c.now, stage, d)
+// traceUop reports d entering a pipeline stage (trace.Stage*). It is only
+// the guard, so it inlines at each site and the disabled path stays one nil
+// check; emitUop builds and emits the event out of line.
+func (c *Core) traceUop(stage uint64, d *DynUop) {
+	if c.tr.Enabled() {
+		c.emitUop(stage, d)
 	}
 }
 
-// TracerFunc adapts a function to the Tracer interface.
-type TracerFunc func(cycle uint64, stage string, d *DynUop)
-
-// Event implements Tracer.
-func (f TracerFunc) Event(cycle uint64, stage string, d *DynUop) { f(cycle, stage, d) }
+// emitUop emits d's KindUop event. It repeats traceUop's guard so that the
+// trace-guard rule sees this Emit guarded too.
+func (c *Core) emitUop(stage uint64, d *DynUop) {
+	var val uint64
+	if d.PredTaken {
+		val |= trace.UopPredTaken
+	}
+	if d.Res.Taken {
+		val |= trace.UopTaken
+	}
+	if d.UsedDCE {
+		val |= trace.UopFromPQ
+	}
+	if c.tr.Enabled() {
+		c.tr.Emit(trace.Event{
+			Cycle: c.now, PC: d.U.PC, Seq: d.Seq, Kind: trace.KindUop,
+			Arg: stage, Flag: d.WrongPath, Val: val,
+		})
+	}
+}

@@ -141,8 +141,8 @@ func New(cfg Config) *DRAM {
 	return d
 }
 
-// SetTracer attaches a structured event tracer; nil disables emission.
-func (d *DRAM) SetTracer(tr *trace.Tracer) { d.tr = tr }
+// SetTrace attaches a structured event tracer; nil disables emission.
+func (d *DRAM) SetTrace(tr *trace.Tracer) { d.tr = tr }
 
 // Access implements the memory side of the hierarchy: it services a line
 // read or write-back beginning no earlier than now and returns the

@@ -175,9 +175,12 @@ type variant struct {
 	br   *runahead.Config
 }
 
-func vTage64() variant { return variant{key: "tage64", pred: sim.PredTage64} }
-func vTage80() variant { return variant{key: "tage80", pred: sim.PredTage80} }
-func vMTage() variant  { return variant{key: "mtage", pred: sim.PredMTage} }
+// vPred is predictor k alone, keyed by its registry name.
+func vPred(k sim.PredictorKind) variant { return variant{key: k.String(), pred: k} }
+
+func vTage64() variant { return vPred(sim.PredTage64) }
+func vTage80() variant { return vPred(sim.PredTage80) }
+func vMTage() variant  { return vPred(sim.PredMTage) }
 
 func vBR(name string, cfg runahead.Config) variant {
 	c := cfg
@@ -288,34 +291,8 @@ func (s *Suite) notify(key string) {
 	s.opts.Notify(key)
 }
 
-// Predictors maps the public predictor names accepted by RunNamed (and the
-// brserve request schema) onto their simulator kinds. The names are the
-// figures' variant keys, so a named run and a figure point that agree on
-// (workload, predictor, BR config, budget) share one cache entry.
-func Predictors() map[string]sim.PredictorKind {
-	return map[string]sim.PredictorKind{
-		"tage64":     sim.PredTage64,
-		"tage80":     sim.PredTage80,
-		"mtage":      sim.PredMTage,
-		"gshare":     sim.PredGshare,
-		"perceptron": sim.PredPerceptron,
-		"tournament": sim.PredTournament,
-		"ldbp":       sim.PredLDBP,
-		"bullseye":   sim.PredBullseye,
-	}
-}
-
-// BRConfigs maps the public Branch Runahead configuration names onto their
-// constructors (the paper's Table 2 configurations).
-func BRConfigs() map[string]func() runahead.Config {
-	return map[string]func() runahead.Config{
-		"core-only": runahead.CoreOnly,
-		"mini":      runahead.Mini,
-		"big":       runahead.Big,
-	}
-}
-
-// namedVariant resolves public (predictor, BR config) names onto the
+// namedVariant resolves public (predictor, BR config) names — the
+// registries' sim.ParsePredictor and runahead.ConfigByName — onto the
 // figures' variant-key convention so named runs alias onto figure cache
 // entries: a bare predictor keeps its own key ("tage64", "ldbp"), tage64
 // plus a BR config takes the config's key ("mini", "big", "core-only" — the
@@ -323,22 +300,21 @@ func BRConfigs() map[string]func() runahead.Config {
 // predictor with Mini layered on top is Figure 15's "<pred>+br". Remaining
 // combinations get the explicit "<pred>+<br>" key.
 func namedVariant(predictor, brName string) (variant, error) {
-	pred, ok := Predictors()[predictor]
-	if !ok {
-		return variant{}, fmt.Errorf("experiments: unknown predictor %q", predictor)
+	pred, err := sim.ParsePredictor(predictor)
+	if err != nil {
+		return variant{}, err
 	}
 	if brName == "" {
-		return variant{key: predictor, pred: pred}, nil
+		return vPred(pred), nil
 	}
-	mk, ok := BRConfigs()[brName]
-	if !ok {
-		return variant{}, fmt.Errorf("experiments: unknown BR config %q", brName)
+	cfg, err := runahead.ConfigByName(brName)
+	if err != nil {
+		return variant{}, err
 	}
-	cfg := mk()
 	switch {
-	case predictor == "tage64":
+	case pred == sim.PredTage64:
 		return variant{key: brName, pred: pred, br: &cfg}, nil
-	case predictor == "mtage" && brName == "big":
+	case pred == sim.PredMTage && brName == "big":
 		return variant{key: "mtage+big", pred: pred, br: &cfg}, nil
 	case brName == "mini":
 		return variant{key: predictor + "+br", pred: pred, br: &cfg}, nil
@@ -835,20 +811,10 @@ func (s *Suite) Figure14() (*stats.Table, error) {
 // TAGE-SC-L baseline, the classical baselines (gshare, perceptron,
 // tournament), and the two competing H2P attacks (LDBP's load-stride
 // execution, Bullseye's targeted dual perceptron).
-func figure15Predictors() []struct {
-	key  string
-	pred sim.PredictorKind
-} {
-	return []struct {
-		key  string
-		pred sim.PredictorKind
-	}{
-		{"tage64", sim.PredTage64},
-		{"gshare", sim.PredGshare},
-		{"perceptron", sim.PredPerceptron},
-		{"tournament", sim.PredTournament},
-		{"ldbp", sim.PredLDBP},
-		{"bullseye", sim.PredBullseye},
+func figure15Predictors() []sim.PredictorKind {
+	return []sim.PredictorKind{
+		sim.PredTage64, sim.PredGshare, sim.PredPerceptron,
+		sim.PredTournament, sim.PredLDBP, sim.PredBullseye,
 	}
 }
 
@@ -865,9 +831,9 @@ func (s *Suite) Figure15() (*stats.Table, error) {
 	preds := figure15Predictors()
 	vs := make([]variant, 0, 2*len(preds))
 	for _, p := range preds {
-		vs = append(vs, variant{key: p.key, pred: p.pred})
+		vs = append(vs, vPred(p))
 		br := runahead.Mini()
-		vs = append(vs, variant{key: p.key + "+br", pred: p.pred, br: &br})
+		vs = append(vs, variant{key: p.String() + "+br", pred: p, br: &br})
 	}
 	if err := s.prefetch(cross(s.names(), vs, s.opts.Instrs)); err != nil {
 		return nil, err
@@ -884,7 +850,7 @@ func (s *Suite) Figure15() (*stats.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			t.AddRowf(wl+"/"+p.key, solo.MPKI, solo.IPC, with.MPKI, with.IPC)
+			t.AddRowf(wl+"/"+p.String(), solo.MPKI, solo.IPC, with.MPKI, with.IPC)
 			aggs[i].mpki = append(aggs[i].mpki, solo.MPKI)
 			aggs[i].ipc = append(aggs[i].ipc, solo.IPC)
 			aggs[i].mpkiBR = append(aggs[i].mpkiBR, with.MPKI)
@@ -892,7 +858,7 @@ func (s *Suite) Figure15() (*stats.Table, error) {
 		}
 	}
 	for i, p := range preds {
-		t.AddRowf("mean/"+p.key,
+		t.AddRowf("mean/"+p.String(),
 			stats.Mean(aggs[i].mpki), stats.GeoMean(aggs[i].ipc),
 			stats.Mean(aggs[i].mpkiBR), stats.GeoMean(aggs[i].ipcBR))
 	}

@@ -4,36 +4,53 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/runahead"
+	"repro/internal/sim"
 )
 
 // TestNamedVariantAliasing pins the key convention that lets a named
-// single run share cache entries with figure points.
+// single run share cache entries with figure points: every (predictor, BR
+// config) pair of the registries, at the keys the run cache has always
+// used. Bimodal's keys follow the same rule as every other predictor.
 func TestNamedVariantAliasing(t *testing.T) {
-	cases := []struct {
-		pred, br string
-		wantKey  string
-		wantBR   bool
-	}{
-		{"tage64", "", "tage64", false},
-		{"ldbp", "", "ldbp", false},
-		{"tage64", "mini", "mini", true},
-		{"tage64", "big", "big", true},
-		{"tage64", "core-only", "core-only", true},
-		{"mtage", "big", "mtage+big", true},
-		{"bullseye", "mini", "bullseye+br", true},
-		{"gshare", "big", "gshare+big", true},
+	keys := map[string][4]string{ // predictor -> key alone, +core-only, +mini, +big
+		"tage64":     {"tage64", "core-only", "mini", "big"},
+		"tage80":     {"tage80", "tage80+core-only", "tage80+br", "tage80+big"},
+		"mtage":      {"mtage", "mtage+core-only", "mtage+br", "mtage+big"},
+		"bimodal":    {"bimodal", "bimodal+core-only", "bimodal+br", "bimodal+big"},
+		"gshare":     {"gshare", "gshare+core-only", "gshare+br", "gshare+big"},
+		"perceptron": {"perceptron", "perceptron+core-only", "perceptron+br", "perceptron+big"},
+		"tournament": {"tournament", "tournament+core-only", "tournament+br", "tournament+big"},
+		"ldbp":       {"ldbp", "ldbp+core-only", "ldbp+br", "ldbp+big"},
+		"bullseye":   {"bullseye", "bullseye+core-only", "bullseye+br", "bullseye+big"},
 	}
-	for _, c := range cases {
-		v, err := namedVariant(c.pred, c.br)
-		if err != nil {
-			t.Errorf("namedVariant(%q, %q): %v", c.pred, c.br, err)
+	brs := append([]string{""}, runahead.ConfigNames()...)
+	if len(brs) != 4 {
+		t.Fatalf("BR configs %v: the table pins core-only, mini and big", brs[1:])
+	}
+	preds := sim.PredictorNames()
+	if len(preds) != len(keys) {
+		t.Fatalf("registry has %d predictors, the table pins %d", len(preds), len(keys))
+	}
+	for _, pred := range preds {
+		want, ok := keys[pred]
+		if !ok {
+			t.Errorf("predictor %q has no pinned keys", pred)
 			continue
 		}
-		if v.key != c.wantKey {
-			t.Errorf("namedVariant(%q, %q).key = %q, want %q", c.pred, c.br, v.key, c.wantKey)
-		}
-		if (v.br != nil) != c.wantBR {
-			t.Errorf("namedVariant(%q, %q): BR config presence = %v, want %v", c.pred, c.br, v.br != nil, c.wantBR)
+		for i, br := range brs {
+			v, err := namedVariant(pred, br)
+			if err != nil {
+				t.Errorf("namedVariant(%q, %q): %v", pred, br, err)
+				continue
+			}
+			if v.key != want[i] {
+				t.Errorf("namedVariant(%q, %q).key = %q, want %q", pred, br, v.key, want[i])
+			}
+			if v.pred.String() != pred || (v.br != nil) != (br != "") || (v.br != nil && v.br.Name != br) {
+				t.Errorf("namedVariant(%q, %q) = %s + %v", pred, br, v.pred, v.br)
+			}
 		}
 	}
 }

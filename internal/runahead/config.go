@@ -201,6 +201,28 @@ func Big() Config {
 	}
 }
 
+// stockConfigs are the paper's Table 2 configurations, in its order.
+var stockConfigs = [...]func() Config{CoreOnly, Mini, Big}
+
+// ConfigByName returns the Table 2 configuration whose Name is name.
+func ConfigByName(name string) (Config, error) {
+	for _, mk := range stockConfigs {
+		if c := mk(); c.Name == name {
+			return c, nil
+		}
+	}
+	return Config{}, fmt.Errorf("runahead: unknown BR config %q (want one of %v)", name, ConfigNames())
+}
+
+// ConfigNames lists the Table 2 configuration names, in the paper's order.
+func ConfigNames() []string {
+	names := make([]string, len(stockConfigs))
+	for i, mk := range stockConfigs {
+		names[i] = mk().Name
+	}
+	return names
+}
+
 // StorageBits estimates the configuration's storage cost, mirroring the
 // Table 2 accounting: 4 bytes per chain-cache micro-op, 8-entry local
 // register files, 32-entry reservation stations, prediction queue bits, HBT

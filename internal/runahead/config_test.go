@@ -59,3 +59,29 @@ func TestConfigValidate(t *testing.T) {
 		New(bad, nil, nil)
 	})
 }
+
+// TestConfigByName: every stock configuration is found under its own Name,
+// and ConfigNames lists exactly those names in Table 2 order.
+func TestConfigByName(t *testing.T) {
+	stock := []Config{CoreOnly(), Mini(), Big()}
+	names := ConfigNames()
+	if len(names) != len(stock) {
+		t.Fatalf("ConfigNames() = %v, want %d names", names, len(stock))
+	}
+	for i, want := range stock {
+		if names[i] != want.Name {
+			t.Errorf("ConfigNames()[%d] = %q, want %q", i, names[i], want.Name)
+		}
+		got, err := ConfigByName(want.Name)
+		if err != nil {
+			t.Errorf("ConfigByName(%q): %v", want.Name, err)
+			continue
+		}
+		if got != want {
+			t.Errorf("ConfigByName(%q) = %+v, want %+v", want.Name, got, want)
+		}
+	}
+	if _, err := ConfigByName("coreonly"); err == nil {
+		t.Error(`ConfigByName("coreonly") accepted a name no config carries`)
+	}
+}

@@ -102,9 +102,9 @@ func New(cfg Config, dcache *cache.Cache, mem *emu.Memory) *System {
 // Config returns the system configuration.
 func (s *System) Config() Config { return s.cfg }
 
-// SetTracer attaches the structured event tracer to the system and its
+// SetTrace attaches the structured event tracer to the system and its
 // subunits (DCE, prediction queues). A nil tracer disables tracing.
-func (s *System) SetTracer(tr *trace.Tracer) {
+func (s *System) SetTrace(tr *trace.Tracer) {
 	s.tr = tr
 	s.dce.tr = tr
 	s.pqs.tr = tr

@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"sort"
 
+	"repro/internal/runahead"
+	"repro/internal/sim"
 	"repro/internal/workloads"
 )
 
@@ -199,8 +201,8 @@ func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, catalog{
 		Version:    RequestVersion,
 		Workloads:  wls,
-		Predictors: Predictors(),
-		BRConfigs:  BRConfigs(),
+		Predictors: sim.PredictorNames(),
+		BRConfigs:  runahead.ConfigNames(),
 		Figures:    Figures(),
 	})
 }

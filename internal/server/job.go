@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/runahead"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -245,14 +246,21 @@ func (s *Server) tracedRun(req Request) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	pred, err := sim.ParsePredictor(req.Predictor)
+	if err != nil {
+		return nil, err
+	}
 	cfg := sim.Config{
 		Core:      core.DefaultConfig(),
-		Predictor: experiments.Predictors()[req.Predictor],
+		Predictor: pred,
 		Warmup:    *req.Warmup,
 		MaxInstrs: *req.Instrs,
 	}
 	if req.BR != "" {
-		br := experiments.BRConfigs()[req.BR]()
+		br, err := runahead.ConfigByName(req.BR)
+		if err != nil {
+			return nil, err
+		}
 		cfg.BR = &br
 	}
 	var buf bytes.Buffer

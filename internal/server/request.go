@@ -13,10 +13,10 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
-	"sort"
 	"strings"
 
-	"repro/internal/experiments"
+	"repro/internal/runahead"
+	"repro/internal/sim"
 	"repro/internal/workloads"
 )
 
@@ -34,7 +34,7 @@ type Request struct {
 
 	// Run requests: one (workload, predictor, BR config) point.
 	Workload  string `json:"workload,omitempty"`
-	Predictor string `json:"predictor,omitempty"` // default "tage64"
+	Predictor string `json:"predictor,omitempty"` // default "tage64" (sim.PredTage64)
 	BR        string `json:"br,omitempty"`        // "" = predictor alone
 	// Trace additionally records a Chrome trace of the point (one extra
 	// traced simulation, never cached), downloadable at /trace.
@@ -117,16 +117,14 @@ func NormalizeRequest(req Request, d Defaults) (Request, error) {
 		}
 		req.Workload = wl
 		if req.Predictor == "" {
-			req.Predictor = "tage64"
+			req.Predictor = sim.PredTage64.String()
 		}
-		if _, ok := experiments.Predictors()[req.Predictor]; !ok {
-			return Request{}, fmt.Errorf("server: unknown predictor %q (want one of %v)",
-				req.Predictor, Predictors())
+		if _, err := sim.ParsePredictor(req.Predictor); err != nil {
+			return Request{}, fmt.Errorf("server: %w", err)
 		}
 		if req.BR != "" {
-			if _, ok := experiments.BRConfigs()[req.BR]; !ok {
-				return Request{}, fmt.Errorf("server: unknown BR config %q (want one of %v)",
-					req.BR, BRConfigs())
+			if _, err := runahead.ConfigByName(req.BR); err != nil {
+				return Request{}, fmt.Errorf("server: %w", err)
 			}
 		}
 	case "figure":
@@ -179,9 +177,14 @@ func checkWorkload(name string) error {
 // resolved now — a missing or corrupt trace file is the client's error (400),
 // not a mid-job failure — and canonicalized to their fingerprinted form, so
 // the job ID addresses the trace content: resubmitting after the file changed
-// is a new job, not a stale hit.
+// is a new job, not a stale hit. Only traces registered from the server's
+// trace directory resolve; any other trace name is rejected before the
+// filesystem is touched, so a client cannot make the server read a path.
 func resolveWorkload(name string) (string, error) {
 	if strings.HasPrefix(name, workloads.TracePrefix) {
+		if !workloads.IsRegisteredTrace(name) {
+			return "", fmt.Errorf("server: unknown trace workload %q (want one of %v)", name, workloads.TraceNames())
+		}
 		w, err := workloads.ByName(name, workloads.Scale{})
 		if err != nil {
 			return "", err
@@ -206,26 +209,6 @@ func fingerprint(req Request) string {
 	h := fnv.New64a()
 	h.Write(blob)
 	return fmt.Sprintf("job-%016x", h.Sum64())
-}
-
-// Predictors lists the accepted predictor names, sorted.
-func Predictors() []string {
-	var out []string
-	for name := range experiments.Predictors() {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// BRConfigs lists the accepted Branch Runahead configuration names, sorted.
-func BRConfigs() []string {
-	var out []string
-	for name := range experiments.BRConfigs() {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Figures lists the accepted figure names.

@@ -6,6 +6,9 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"repro/internal/runahead"
+	"repro/internal/sim"
 )
 
 func testDefaults() Defaults {
@@ -119,6 +122,45 @@ func TestNormalizeDefaultsAndFingerprint(t *testing.T) {
 		t.Fatal(err)
 	} else if plain.SweepInstrs != nil {
 		t.Error("non-sweep figure grew a sweep budget")
+	}
+}
+
+// TestNormalizeAcceptsEveryRegisteredName: run requests take every name
+// the predictor and BR-config registries know, bimodal included.
+func TestNormalizeAcceptsEveryRegisteredName(t *testing.T) {
+	for _, pred := range sim.PredictorNames() {
+		for _, br := range append([]string{""}, runahead.ConfigNames()...) {
+			req := Request{Version: RequestVersion, Kind: "run", Workload: "mcf_17", Predictor: pred, BR: br}
+			if _, err := NormalizeRequest(req, testDefaults()); err != nil {
+				t.Errorf("predictor %q, BR %q rejected: %v", pred, br, err)
+			}
+		}
+	}
+}
+
+// TestJobIDsPinned pins job IDs, which clients hold on to across server
+// restarts: the normalized encoding of a request must not drift.
+func TestJobIDsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		req  Request
+		want string
+	}{
+		{Request{Version: 1, Kind: "run", Workload: "mcf_17"}, "job-18e862b08001be43"},
+		{Request{Version: 1, Kind: "run", Workload: "leela_17", Predictor: "bullseye", BR: "mini", Trace: true},
+			"job-83863aa81dcc170e"},
+		{Request{Version: 1, Kind: "run", Workload: "bfs", BR: "core-only", Warmup: u64p(0), Instrs: u64p(5000)},
+			"job-878ab67182024ab4"},
+		{Request{Version: 1, Kind: "figure", Figure: "13"}, "job-0ad1e2527b7600b7"},
+		{Request{Version: 1, Kind: "figure", Figure: "15", Workloads: []string{"mcf_17", "bfs"}},
+			"job-a75e4735069b25e5"},
+	} {
+		n, err := NormalizeRequest(tc.req, testDefaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fingerprint(n); got != tc.want {
+			t.Errorf("job ID of %+v = %s, want %s", tc.req, got, tc.want)
+		}
 	}
 }
 

@@ -16,6 +16,8 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/runahead"
+	"repro/internal/sim"
 	"repro/internal/workloads"
 )
 
@@ -464,11 +466,14 @@ func TestServeCatalog(t *testing.T) {
 			t.Errorf("catalog is missing built-in workload %s", name)
 		}
 	}
-	for name, list := range map[string][]string{
-		"predictors": c.Predictors, "br_configs": c.BRConfigs, "figures": c.Figures,
+	// The catalog lists exactly the names the registries accept.
+	for name, lists := range map[string][2][]string{
+		"predictors": {c.Predictors, sim.PredictorNames()},
+		"br_configs": {c.BRConfigs, runahead.ConfigNames()},
+		"figures":    {c.Figures, Figures()},
 	} {
-		if len(list) == 0 {
-			t.Errorf("catalog %s is empty", name)
+		if got, want := strings.Join(lists[0], ","), strings.Join(lists[1], ","); got != want || want == "" {
+			t.Errorf("catalog %s = [%s], want [%s]", name, got, want)
 		}
 	}
 }

@@ -132,3 +132,41 @@ func TestServeTraceRequestErrors(t *testing.T) {
 		t.Fatalf("figure submit = %d (body %s), want 400", resp.StatusCode, body)
 	}
 }
+
+// TestServeRejectsTracePaths: run requests name traces registered from the
+// trace directory, never a filesystem path. A valid trace outside the
+// directory, named by absolute path (with or without its fingerprint), is
+// a 400, and so are paths the server must not open at all.
+func TestServeRejectsTracePaths(t *testing.T) {
+	served, outside := t.TempDir(), t.TempDir()
+	writeTestTrace(t, served, "leela-e2e")
+	tr := writeTestTrace(t, outside, "stray")
+	_, ts := newTestServer(t, Config{TraceDir: served})
+
+	abs := filepath.Join(outside, "stray.btr")
+	for _, wl := range []string{
+		"trace:" + abs,
+		"trace:" + abs + "@" + btrace.Fingerprint(tr.Encode()),
+		"trace:/etc/hostname",
+		"trace:/dev/zero",
+		"trace:../" + filepath.Base(outside) + "/stray.btr",
+	} {
+		req := runRequest()
+		req.Workload = wl
+		req.BR = ""
+		resp, body := postJSON(t, ts.URL+"/v1/jobs", req)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: submit = %d (body %s), want 400", wl, resp.StatusCode, body)
+			continue
+		}
+		var ae apiError
+		if err := json.Unmarshal(body, &ae); err != nil {
+			t.Fatal(err)
+		}
+		// The rejection names the registered traces; it is not a read or
+		// decode error, so nothing was opened.
+		if !strings.Contains(ae.Error, "unknown trace workload") || !strings.Contains(ae.Error, "leela-e2e") {
+			t.Errorf("%s: error %q, want an unknown-trace rejection listing leela-e2e", wl, ae.Error)
+		}
+	}
+}

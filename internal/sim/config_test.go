@@ -58,3 +58,47 @@ func TestSimConfigValidate(t *testing.T) {
 		t.Fatal("RunWeighted accepted an invalid configuration")
 	}
 }
+
+// TestPredictorRegistry: every kind round-trips through its name, the names
+// are the public spelling Result.Config and the run cache have always used,
+// and an unknown name is an error naming the legal set.
+func TestPredictorRegistry(t *testing.T) {
+	want := []string{"tage64", "tage80", "mtage", "bimodal", "gshare", "perceptron", "tournament", "ldbp", "bullseye"}
+	if got := PredictorNames(); strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("PredictorNames() = %v, want %v", got, want)
+	}
+	for i, name := range want {
+		k := PredictorKind(i)
+		if k.String() != name {
+			t.Errorf("PredictorKind(%d).String() = %q, want %q", i, k.String(), name)
+		}
+		got, err := ParsePredictor(k.String())
+		if err != nil || got != k {
+			t.Errorf("ParsePredictor(%q) = %v, %v; want %v", k.String(), got, err, k)
+		}
+		if b := predictors[k].build(nil); b == nil {
+			t.Errorf("%s: constructor returned nil", name)
+		}
+	}
+	if _, err := ParsePredictor("oracle"); err == nil || !strings.Contains(err.Error(), "tage64") {
+		t.Errorf(`ParsePredictor("oracle") error = %v, want one listing the names`, err)
+	}
+	if s := PredictorKind(99).String(); s != "PredictorKind(99)" {
+		t.Errorf("out-of-range kind prints %q", s)
+	}
+
+	mini := runahead.Mini()
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Predictor: PredTage64}, "tage64"},
+		{Config{Predictor: PredBullseye, BR: &mini}, "bullseye+br-mini"},
+		{Config{Predictor: PredLDBP, FrontEnd: FEExec}, "ldbp+exec"},
+		{Config{Predictor: PredMTage, BR: &mini, FrontEnd: FETrace}, "mtage+br-mini+replay"},
+	} {
+		if got := configName(tc.cfg); got != tc.want {
+			t.Errorf("configName = %q, want %q", got, tc.want)
+		}
+	}
+}

@@ -37,31 +37,72 @@ const (
 	PredBullseye   // H2P-targeted dual perceptron over the TAGE-SC-L 64KB base
 )
 
-// newPredictor builds the configured predictor. LDBP inspects the retired
-// instruction stream, so it needs the workload program.
-func newPredictor(k PredictorKind, prog *program.Program) bpred.Predictor {
-	switch k {
-	case PredTage64:
+// predictors is the predictor registry, indexed by kind. Each entry holds
+// the public name (flags, brserve requests, Result.Config, experiment
+// variant keys), the constructor, and the snapshot section version of the
+// predictor's state. LDBP inspects the retired instruction stream, so
+// constructors get the workload program.
+var predictors = [...]struct {
+	name    string
+	version uint32
+	build   func(*program.Program) bpred.Predictor
+}{
+	PredTage64: {"tage64", bpred.TAGESCLStateVersion, func(*program.Program) bpred.Predictor {
 		return bpred.NewTAGESCL64()
-	case PredTage80:
+	}},
+	PredTage80: {"tage80", bpred.TAGESCLStateVersion, func(*program.Program) bpred.Predictor {
 		return bpred.NewTAGESCL80()
-	case PredMTage:
+	}},
+	PredMTage: {"mtage", bpred.TAGESCLStateVersion, func(*program.Program) bpred.Predictor {
 		return bpred.NewMTAGE()
-	case PredBimodal:
+	}},
+	PredBimodal: {"bimodal", bpred.BimodalStateVersion, func(*program.Program) bpred.Predictor {
 		return bpred.NewBimodal(14)
-	case PredGshare:
+	}},
+	PredGshare: {"gshare", bpred.GshareStateVersion, func(*program.Program) bpred.Predictor {
 		return bpred.NewGshare(16, 14)
-	case PredPerceptron:
+	}},
+	PredPerceptron: {"perceptron", bpred.PerceptronStateVersion, func(*program.Program) bpred.Predictor {
 		return bpred.NewPerceptron(bpred.DefaultPerceptronConfig())
-	case PredTournament:
+	}},
+	PredTournament: {"tournament", bpred.TournamentStateVersion, func(*program.Program) bpred.Predictor {
 		return bpred.NewTournament(bpred.DefaultTournamentConfig())
-	case PredLDBP:
-		return bpred.NewLDBP(bpred.DefaultLDBPConfig(), bpred.NewTAGESCL64(), prog)
-	case PredBullseye:
+	}},
+	PredLDBP: {"ldbp", bpred.LDBPStateVersion, func(p *program.Program) bpred.Predictor {
+		return bpred.NewLDBP(bpred.DefaultLDBPConfig(), bpred.NewTAGESCL64(), p)
+	}},
+	PredBullseye: {"bullseye", bpred.BullseyeStateVersion, func(*program.Program) bpred.Predictor {
 		return bpred.NewBullseye(bpred.DefaultBullseyeConfig(), bpred.NewTAGESCL64())
-	default:
-		panic(fmt.Sprintf("sim: unknown predictor kind %d", int(k)))
+	}},
+}
+
+func (k PredictorKind) valid() bool { return k >= 0 && int(k) < len(predictors) }
+
+// String returns the predictor's registry name.
+func (k PredictorKind) String() string {
+	if !k.valid() {
+		return fmt.Sprintf("PredictorKind(%d)", int(k))
 	}
+	return predictors[k].name
+}
+
+// ParsePredictor returns the predictor kind registered under name.
+func ParsePredictor(name string) (PredictorKind, error) {
+	for k := range predictors {
+		if predictors[k].name == name {
+			return PredictorKind(k), nil
+		}
+	}
+	return 0, fmt.Errorf("sim: unknown predictor %q (want one of %v)", name, PredictorNames())
+}
+
+// PredictorNames lists every predictor name, in kind order.
+func PredictorNames() []string {
+	names := make([]string, len(predictors))
+	for k := range predictors {
+		names[k] = predictors[k].name
+	}
+	return names
 }
 
 // FrontEndKind selects the machine's instruction source (the core.InstrSource
@@ -183,10 +224,7 @@ func (c Config) Validate() error {
 			return err
 		}
 	}
-	switch c.Predictor {
-	case PredTage64, PredTage80, PredMTage, PredBimodal, PredGshare,
-		PredPerceptron, PredTournament, PredLDBP, PredBullseye:
-	default:
+	if !c.Predictor.valid() {
 		return fmt.Errorf("sim: unknown predictor kind %d", int(c.Predictor))
 	}
 	switch c.FrontEnd {
@@ -290,7 +328,7 @@ func newMachine(w *workloads.Workload, cfg Config) (*machine, error) {
 		return nil, fmt.Errorf("sim %s: %w", w.Name, err)
 	}
 	hier := NewHierarchy()
-	bp := newPredictor(cfg.Predictor, w.Prog)
+	bp := predictors[cfg.Predictor].build(w.Prog)
 	if testWrapPredictor != nil {
 		bp = testWrapPredictor(bp)
 	}
@@ -308,11 +346,11 @@ func newMachine(w *workloads.Workload, cfg Config) (*machine, error) {
 	}
 	if tr := cfg.Trace; tr.Enabled() {
 		c.SetTrace(tr)
-		hier.ICache.SetTracer(tr, trace.UnitL1I)
-		hier.DCache.SetTracer(tr, trace.UnitL1D)
-		hier.L2.SetTracer(tr, trace.UnitL2)
+		hier.ICache.SetTrace(tr, trace.UnitL1I)
+		hier.DCache.SetTrace(tr, trace.UnitL1D)
+		hier.L2.SetTrace(tr, trace.UnitL2)
 		if d, ok := hier.Mem.(*dram.DRAM); ok {
-			d.SetTracer(tr)
+			d.SetTrace(tr)
 		}
 	}
 	return m, nil
@@ -330,7 +368,7 @@ func (m *machine) attachBR() {
 	sys.ShareTLB(m.hier.DTLB)
 	m.c.SetExtension(sys)
 	if tr := m.cfg.Trace; tr.Enabled() {
-		sys.SetTracer(tr)
+		sys.SetTrace(tr)
 	}
 	m.sys = sys
 }
@@ -512,27 +550,7 @@ func (m *machine) finish(boundary snap) *Result {
 }
 
 func configName(cfg Config) string {
-	name := ""
-	switch cfg.Predictor {
-	case PredTage64:
-		name = "tage64"
-	case PredTage80:
-		name = "tage80"
-	case PredMTage:
-		name = "mtage"
-	case PredBimodal:
-		name = "bimodal"
-	case PredGshare:
-		name = "gshare"
-	case PredPerceptron:
-		name = "perceptron"
-	case PredTournament:
-		name = "tournament"
-	case PredLDBP:
-		name = "ldbp"
-	case PredBullseye:
-		name = "bullseye"
-	}
+	name := cfg.Predictor.String()
 	if cfg.BR != nil {
 		name += "+br-" + cfg.BR.Name
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/bpred"
 	"repro/internal/brstate"
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -20,25 +19,6 @@ import (
 // Config.SnapshotStride). Section payload versions are owned by the
 // components; metaVersion covers the composition itself.
 const metaVersion = 1
-
-func predictorStateVersion(k PredictorKind) uint32 {
-	switch k {
-	case PredBimodal:
-		return bpred.BimodalStateVersion
-	case PredGshare:
-		return bpred.GshareStateVersion
-	case PredPerceptron:
-		return bpred.PerceptronStateVersion
-	case PredTournament:
-		return bpred.TournamentStateVersion
-	case PredLDBP:
-		return bpred.LDBPStateVersion
-	case PredBullseye:
-		return bpred.BullseyeStateVersion
-	default:
-		return bpred.TAGESCLStateVersion
-	}
-}
 
 // saveState serializes the quiesced machine plus the warmup-boundary counter
 // snapshot (needed to diff the measured phase at the end of a resumed run).
@@ -72,7 +52,7 @@ func (m *machine) saveState(boundary snap) ([]byte, error) {
 func (m *machine) saveComponentSections(w *brstate.Writer, saver brstate.Saver) {
 	w.Section("mem", emu.MemoryStateVersion, m.c.Memory().SaveState)
 	w.Section("core", core.StateVersion, m.c.SaveState)
-	w.Section("bpred", predictorStateVersion(m.cfg.Predictor), saver.SaveState)
+	w.Section("bpred", predictors[m.cfg.Predictor].version, saver.SaveState)
 	w.Section("l1i", cache.CacheStateVersion, m.hier.ICache.SaveState)
 	w.Section("l1d", cache.CacheStateVersion, m.hier.DCache.SaveState)
 	w.Section("l2", cache.CacheStateVersion, m.hier.L2.SaveState)
@@ -170,7 +150,7 @@ func (l *sectionLoader) load(name string, version uint32, ld func(*brstate.Reade
 func (m *machine) loadComponentSections(l *sectionLoader, loader brstate.Loader) {
 	l.load("mem", emu.MemoryStateVersion, m.c.Memory().LoadState)
 	l.load("core", core.StateVersion, m.c.LoadState)
-	l.load("bpred", predictorStateVersion(m.cfg.Predictor), loader.LoadState)
+	l.load("bpred", predictors[m.cfg.Predictor].version, loader.LoadState)
 	l.load("l1i", cache.CacheStateVersion, m.hier.ICache.LoadState)
 	l.load("l1d", cache.CacheStateVersion, m.hier.DCache.LoadState)
 	l.load("l2", cache.CacheStateVersion, m.hier.L2.LoadState)

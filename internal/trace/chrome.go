@@ -65,8 +65,13 @@ func unitOf(ev Event) uint64 {
 
 // Emit writes one trace_event record. Errors are latched and reported by
 // Close so the simulation path never has to handle I/O failures inline.
+//
+// KindUop events are dropped. There are 5-11 of them per structured event
+// (one per micro-op per pipeline stage), so rendering them would grow a
+// timeline by the same factor while adding nothing a timeline reader
+// needs; brtrace's pipeline lens is their consumer.
 func (c *Chrome) Emit(ev Event) {
-	if c.err != nil {
+	if c.err != nil || ev.Kind == KindUop {
 		return
 	}
 	if !c.wrote {

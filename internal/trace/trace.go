@@ -45,6 +45,8 @@ package trace
 //	KindHBTBias       PC; Arg=number of AG lists the branch was dropped from
 //	KindCacheMiss     Addr; Arg=unit (Unit*); Val=miss latency; Flag=write
 //	KindDRAMAccess    Addr; Arg=row outcome (Row*); Val=latency; Flag=write
+//	KindUop           PC=static micro-op PC, Seq; Arg=pipeline stage (Stage*);
+//	                  Flag=wrong path; Val=Uop* bits (branch prediction state)
 type Kind uint8
 
 // Event kinds, grouped by emitting unit.
@@ -66,6 +68,7 @@ const (
 	KindHBTBias
 	KindCacheMiss
 	KindDRAMAccess
+	KindUop
 	numKinds
 )
 
@@ -73,7 +76,7 @@ var kindNames = [numKinds]string{
 	"phase", "branch_fetch", "branch_resolve", "branch_retire", "recovery",
 	"chain_init", "chain_complete", "chain_kill",
 	"pq_fill", "pq_consume", "pq_restore", "pq_account",
-	"sync", "extract", "hbt_bias", "cache_miss", "dram_access",
+	"sync", "extract", "hbt_bias", "cache_miss", "dram_access", "uop",
 }
 
 // String returns the canonical event name.
@@ -115,6 +118,41 @@ func CatName(cat uint64) string {
 	}
 	return "unknown"
 }
+
+// Pipeline stages carried by KindUop (Arg field): one event each time a
+// micro-op enters a stage. StageFlush marks the mispredicted branch a
+// recovery restarts from; StageSquash marks each micro-op that recovery
+// discards.
+const (
+	StageFetch uint64 = iota
+	StageDispatch
+	StageIssue
+	StageComplete
+	StageRetire
+	StageSquash
+	StageFlush
+	numStages
+)
+
+var stageNames = [numStages]string{
+	"fetch", "dispatch", "issue", "complete", "retire", "squash", "flush",
+}
+
+// StageName returns the name of a KindUop stage code.
+func StageName(stage uint64) string {
+	if stage < numStages {
+		return stageNames[stage]
+	}
+	return "unknown"
+}
+
+// Bits of a KindUop event's Val field. The prediction bits are meaningful
+// for conditional branches only.
+const (
+	UopPredTaken uint64 = 1 << iota // fetch predicted taken
+	UopTaken                        // resolved taken
+	UopFromPQ                       // the prediction came from a prediction queue
+)
 
 // Row outcome codes carried by KindDRAMAccess (Arg field).
 const (

@@ -78,13 +78,32 @@ func isFingerprint(s string) bool {
 	return true
 }
 
+// splitTraceSpec splits a trace spec (TracePrefix already stripped) into
+// its registered name or path and its optional fingerprint.
+func splitTraceSpec(spec string) (base, fingerprint string) {
+	if i := strings.LastIndexByte(spec, '@'); i >= 0 && isFingerprint(spec[i+1:]) {
+		return spec[:i], spec[i+1:]
+	}
+	return spec, ""
+}
+
+// IsRegisteredTrace reports whether name is "trace:<name>[@<fingerprint>]"
+// for a registered trace name, so that resolving it reads no file the
+// caller chose.
+func IsRegisteredTrace(name string) bool {
+	spec, ok := strings.CutPrefix(name, TracePrefix)
+	if !ok {
+		return false
+	}
+	base, _ := splitTraceSpec(spec)
+	_, registered := traceFiles[base]
+	return registered
+}
+
 // traceWorkload loads the trace workload named by spec (TracePrefix already
 // stripped).
 func traceWorkload(spec string) (*Workload, error) {
-	base, wantFP := spec, ""
-	if i := strings.LastIndexByte(spec, '@'); i >= 0 && isFingerprint(spec[i+1:]) {
-		base, wantFP = spec[:i], spec[i+1:]
-	}
+	base, wantFP := splitTraceSpec(spec)
 	path, registered := traceFiles[base]
 	if !registered {
 		path = base
