@@ -379,10 +379,10 @@ func BenchmarkRunaheadSimSpeed(b *testing.B) {
 
 // BenchmarkSimulation is the canonical hot-path benchmark: one Mini
 // Branch Runahead simulation with tracing disabled. It reports allocs/op
-// so the free-lists are held to account: the core's loop allocates
-// nothing in steady state (TestCoreCycleAllocFree), so what remains is
-// per-run setup and the runahead layer, nearly all of it DCE chain
-// instances (DCE.launch).
+// so the free-lists are held to account: neither the core's loop nor the
+// DCE allocates in steady state (TestCoreCycleAllocFree,
+// TestBRCycleAllocFree), so what remains is per-run setup and chain
+// extraction, which builds every chain it installs or refreshes.
 func BenchmarkSimulation(b *testing.B) {
 	scale := workloads.SmallScale()
 	cfg := Mini()

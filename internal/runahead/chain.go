@@ -261,14 +261,22 @@ func (x *extractor) reset(ceb *CEB, cfg *Config, agSet []uint64) {
 	x.loads = 0
 }
 
-// grow1 extends s by one zero element, reusing capacity. Growth past the
-// high-water mark is the cold path and amortizes to zero across extractions.
+// grow1 extends s by one zero element, reusing capacity. Every caller keeps
+// its slice across calls (extractor scratch, the DCE's lists and pools), so
+// growth past the high-water mark is the cold path and amortizes to zero.
 func grow1[T any](s []T) []T {
 	if len(s) < cap(s) {
 		return s[:len(s)+1]
 	}
 	var zero T
 	return append(s, zero) //brlint:allow hot-path-alloc
+}
+
+// push appends v to s through grow1.
+func push[T any](s []T, v T) []T {
+	s = grow1(s)
+	s[len(s)-1] = v
+	return s
 }
 
 type vidUop struct {

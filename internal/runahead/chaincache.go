@@ -56,42 +56,54 @@ func (c *ChainCache) Install(ch *Chain) bool {
 	return true
 }
 
-// Lookup returns the chains triggered by the event (pc, taken): exact-tag
-// matches plus wildcard tags for pc.
-func (c *ChainCache) Lookup(pc uint64, taken bool) []*Chain {
-	var out []*Chain
+// The lookups below append their matches to dst and return it, so the DCE
+// can collect them into one reused buffer instead of a fresh slice per
+// call.
+
+// Lookup appends the chains triggered by the event (pc, taken): exact-tag
+// matches plus wildcard tags for pc. Every match is stamped with the same
+// LRU clock, which then advances.
+func (c *ChainCache) Lookup(dst []*Chain, pc uint64, taken bool) []*Chain {
 	for _, e := range c.chains {
 		if e.chain.Tag.Matches(pc, taken) {
 			e.lru = c.clock
-			out = append(out, e.chain)
+			dst = push(dst, e.chain)
 		}
 	}
 	c.clock++
-	return out
+	return dst
 }
 
-// Wildcards returns the wildcard-tagged chains triggered by pc regardless
+// Wildcards appends the wildcard-tagged chains triggered by pc regardless
 // of outcome (Independent-early initiation).
-func (c *ChainCache) Wildcards(pc uint64) []*Chain {
-	var out []*Chain
+func (c *ChainCache) Wildcards(dst []*Chain, pc uint64) []*Chain {
 	for _, e := range c.chains {
 		if e.chain.Tag.PC == pc && e.chain.Tag.Out == OutWildcard {
-			out = append(out, e.chain)
+			dst = push(dst, e.chain)
 		}
 	}
-	return out
+	return dst
 }
 
-// NonWildcards returns chains triggered by (pc, taken) with a directional
-// tag (Predictive initiation's speculative set).
-func (c *ChainCache) NonWildcards(pc uint64, taken bool) []*Chain {
-	var out []*Chain
+// NonWildcards appends the chains triggered by (pc, taken) with a
+// directional tag (Predictive initiation's speculative set).
+func (c *ChainCache) NonWildcards(dst []*Chain, pc uint64, taken bool) []*Chain {
 	for _, e := range c.chains {
 		if e.chain.Tag.Out != OutWildcard && e.chain.Tag.Matches(pc, taken) {
-			out = append(out, e.chain)
+			dst = push(dst, e.chain)
 		}
 	}
-	return out
+	return dst
+}
+
+// HasBranch reports whether any cached chain computes branch pc.
+func (c *ChainCache) HasBranch(pc uint64) bool {
+	for _, e := range c.chains {
+		if e.chain.BranchPC == pc {
+			return true
+		}
+	}
+	return false
 }
 
 // Len returns the number of cached chains.

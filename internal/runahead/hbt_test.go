@@ -151,11 +151,11 @@ func TestChainCacheLRUAndLookup(t *testing.T) {
 	cc.Install(a)
 	cc.Install(b)
 	// Lookup for (1, false) must trigger both (wildcard + NT).
-	if got := cc.Lookup(1, false); len(got) != 2 {
+	if got := cc.Lookup(nil, 1, false); len(got) != 2 {
 		t.Fatalf("lookup hit %d chains, want 2", len(got))
 	}
 	// (1, true) triggers only the wildcard.
-	if got := cc.Lookup(1, true); len(got) != 1 || got[0].BranchPC != 1 {
+	if got := cc.Lookup(nil, 1, true); len(got) != 1 || got[0].BranchPC != 1 {
 		t.Fatalf("taken lookup = %v", got)
 	}
 	// Install a third chain: the LRU entry (b, least recently hit) evicts.
@@ -164,7 +164,7 @@ func TestChainCacheLRUAndLookup(t *testing.T) {
 	if cc.Len() != 2 {
 		t.Fatalf("len = %d", cc.Len())
 	}
-	if got := cc.Lookup(1, true); len(got) != 1 {
+	if got := cc.Lookup(nil, 1, true); len(got) != 1 {
 		t.Fatal("recently used wildcard was evicted")
 	}
 }

@@ -32,26 +32,49 @@ const (
 // at the next synchronization, exactly as after a divergence). The barrier
 // runs in every simulation that crosses it — whether or not a snapshot is
 // written — so a resumed run and a straight-through run see identical state.
-func (s *System) Quiesce(now uint64) {
-	s.dce.quiesce(now)
+// Every chain instance goes back to the pool; one that does not is an
+// error, as a non-full micro-op pool is for core.Drain.
+func (s *System) Quiesce(now uint64) error {
+	return s.dce.quiesce(now)
 }
 
-func (e *DCE) quiesce(now uint64) {
+func (e *DCE) quiesce(now uint64) error {
 	for _, in := range e.all {
 		if !in.done() {
 			e.kill(now, in)
 		}
 	}
-	e.all = e.all[:0]
+	for len(e.all) > 0 {
+		e.popAll()
+	}
+	for _, in := range e.run {
+		e.drop(in)
+	}
+	clear(e.run)
 	e.run = e.run[:0]
+	for _, d := range e.deferred {
+		e.drop(d.parent)
+	}
+	clear(e.deferred)
 	e.deferred = e.deferred[:0]
 	e.activeRun = 0
+	e.resetScans()
 	for _, q := range e.pqs.queues {
 		if q.assigned {
 			q.reset(now)
 			q.active = false
 		}
 	}
+	if e.live != 0 {
+		return fmt.Errorf("runahead: quiesced DCE still holds %d chain instances", e.live)
+	}
+	return nil
+}
+
+// resetScans clears the scan-skip flags of an engine with no instances.
+func (e *DCE) resetScans() {
+	e.runDirty, e.pendingDirty, e.awake = false, false, false
+	e.nextDone = 0
 }
 
 // SaveState implements brstate.Saver.
@@ -309,7 +332,7 @@ func (s *PQSet) LoadState(r *brstate.Reader) error {
 // initiation predictor, the instance ID counter and the event counters. It
 // requires a quiesced engine (no live instances) — see System.Quiesce.
 func (e *DCE) SaveState(w *brstate.Writer) {
-	if e.activeRun != 0 || len(e.all) != 0 || len(e.run) != 0 || len(e.deferred) != 0 {
+	if e.activeRun != 0 || len(e.all) != 0 || len(e.run) != 0 || len(e.deferred) != 0 || e.live != 0 {
 		panic("runahead: DCE.SaveState requires a quiesced engine")
 	}
 	e.initPred.SaveState(w)
@@ -323,10 +346,14 @@ func (e *DCE) LoadState(r *brstate.Reader) error {
 		return err
 	}
 	e.nextID = r.U64()
-	e.all = e.all[:0]
+	// The pool starts over: instances still out are abandoned, not
+	// recycled.
+	e.all, e.allBuf = nil, nil
 	e.run = e.run[:0]
 	e.deferred = e.deferred[:0]
+	e.free, e.live = nil, 0
 	e.activeRun = 0
+	e.resetScans()
 	if err := r.Err(); err != nil {
 		return err
 	}

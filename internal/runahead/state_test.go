@@ -228,7 +228,9 @@ func drivenSystem(t *testing.T) (*System, *program.Program) {
 	if sys.C.Get("chains_installed") == 0 || sys.cc.Len() == 0 {
 		t.Fatal("workload extracted no chains; the snapshot would be trivial")
 	}
-	sys.Quiesce(c.C.Get("cycles"))
+	if err := sys.Quiesce(c.C.Get("cycles")); err != nil {
+		t.Fatal(err)
+	}
 	return sys, p
 }
 
