@@ -18,7 +18,8 @@ vet:
 ## lint: simulator-aware static analysis (call-graph reachability rules,
 ## config/stat invariants; see DESIGN.md §7 and §11) against the committed
 ## baseline, emitting the machine-readable report CI uploads as an
-## artifact. Exit 1 means a non-baselined finding.
+## artifact. Exit 1 means a non-baselined finding or a baseline line that
+## matches no finding (the baseline only ratchets down).
 BRLINT_REPORT ?= brlint-report.json
 lint:
 	@$(GO) run ./cmd/brlint -json -baseline brlint.baseline > $(BRLINT_REPORT); \

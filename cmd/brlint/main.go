@@ -24,13 +24,17 @@
 //
 // A committed baseline (-baseline brlint.baseline) lets a new rule land
 // before all of its pre-existing findings are fixed; -write-baseline
-// regenerates the file from the current findings.
+// regenerates the file from the current findings. The baseline only
+// ratchets down: when every rule runs, a baseline line that matches no
+// finding is itself a stale-suppression finding (at the line of the
+// baseline file), exactly as an unused //brlint:allow directive is.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"go/token"
 	"io"
 	"os"
 	"path/filepath"
@@ -53,7 +57,8 @@ func main() {
 type jsonReport struct {
 	// Rules is every rule that ran, sorted.
 	Rules []string `json:"rules"`
-	// Findings are the non-baselined findings, sorted by file, line, rule.
+	// Findings are the non-baselined findings, sorted by file, line, rule,
+	// followed by the stale baseline lines.
 	Findings []jsonFinding `json:"findings"`
 	// Baselined counts findings absorbed by the -baseline file.
 	Baselined int `json:"baselined"`
@@ -155,7 +160,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "brlint: %s: %v\n", *baselinePath, err)
 			return exitUsageLoad
 		}
-		diags, baselined = bl.Filter(diags)
+		var unmatched []analysis.BaselineLine
+		diags, baselined, unmatched = bl.Filter(diags)
+		// A subset run leaves the other rules' lines unmatched by design.
+		if *rules == "" {
+			for _, l := range unmatched {
+				diags = append(diags, analysis.Diagnostic{
+					Pos:     token.Position{Filename: *baselinePath, Line: l.Line},
+					Rule:    analysis.RuleStaleSuppression,
+					Message: "baseline line matches no finding; remove it: " + l.Text,
+				})
+			}
+		}
 	}
 
 	if *jsonOut {

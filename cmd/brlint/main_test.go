@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -131,6 +132,54 @@ func TestBaselineWorkflow(t *testing.T) {
 	code, stdout, _ = runBrlint(t, "-dir", fixture(t, "dirty"), "-baseline", bl)
 	if code != exitFindings || !strings.Contains(stdout, "time.Now") {
 		t.Fatalf("non-baselined finding must still fail: exit = %d, stdout = %q", code, stdout)
+	}
+}
+
+// TestBaselineStaleLine: a baseline line that matches no finding fails a
+// full run, in text and in -json, so the baseline only ratchets down. A
+// -rules subset leaves the other rules' lines unmatched, so it does not
+// report them.
+func TestBaselineStaleLine(t *testing.T) {
+	bl := filepath.Join(t.TempDir(), "brlint.baseline")
+	if code, _, stderr := runBrlint(t, "-dir", fixture(t, "dirty"), "-baseline", bl, "-write-baseline"); code != exitClean {
+		t.Fatalf("write-baseline: exit = %d (stderr: %s)", code, stderr)
+	}
+	data, err := os.ReadFile(bl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const stale = "internal/core/core.go: determinism: a finding fixed long ago"
+	data = append(data, stale+"\n"...)
+	if err := os.WriteFile(bl, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	staleLine := strings.Count(string(data), "\n")
+
+	code, stdout, stderr := runBrlint(t, "-dir", fixture(t, "dirty"), "-baseline", bl)
+	want := fmt.Sprintf("%s:%d: stale-suppression: baseline line matches no finding; remove it: %s\n", bl, staleLine, stale)
+	if code != exitFindings || stdout != want {
+		t.Fatalf("stale baseline line: exit = %d, stdout = %q, want %q (stderr: %s)", code, stdout, want, stderr)
+	}
+	if !strings.Contains(stderr, "1 finding(s) (+2 baselined)") {
+		t.Fatalf("stderr should count the stale line as a finding, got %q", stderr)
+	}
+
+	code, stdout, _ = runBrlint(t, "-json", "-dir", fixture(t, "dirty"), "-baseline", bl)
+	var rep struct {
+		Findings []jsonFinding `json:"findings"`
+	}
+	if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
+		t.Fatalf("output is not valid JSON: %v", err)
+	}
+	if code != exitFindings || len(rep.Findings) != 1 || rep.Findings[0] != (jsonFinding{
+		File: bl, Line: staleLine, Rule: "stale-suppression",
+		Message: "baseline line matches no finding; remove it: " + stale,
+	}) {
+		t.Fatalf("-json: exit = %d, findings = %+v", code, rep.Findings)
+	}
+
+	if code, stdout, _ := runBrlint(t, "-rules", "determinism", "-dir", fixture(t, "dirty"), "-baseline", bl); code != exitClean || stdout != "" {
+		t.Fatalf("subset run must not report unmatched lines: exit = %d, stdout = %q", code, stdout)
 	}
 }
 

@@ -19,8 +19,20 @@ import (
 // baseline; duplicate findings (same file, rule and message) are matched by
 // count, so fixing one of three identical findings still surfaces nothing
 // new but prevents a fourth from creeping in unnoticed.
+//
+// The baseline is a ratchet: a line that matches no finding is reported
+// (see Filter), so a fixed finding's line cannot later absorb a new finding
+// with the same text.
 type Baseline struct {
-	counts map[string]int
+	// lines maps each finding to the baseline-file line numbers that
+	// accept it, in file order.
+	lines map[string][]int
+}
+
+// BaselineLine is one line of a baseline file.
+type BaselineLine struct {
+	Line int
+	Text string
 }
 
 // baselineKey renders a diagnostic in the baseline's line format.
@@ -30,7 +42,7 @@ func baselineKey(d Diagnostic) string {
 
 // ParseBaseline reads a baseline file's contents.
 func ParseBaseline(data []byte) (*Baseline, error) {
-	b := &Baseline{counts: make(map[string]int)}
+	b := &Baseline{lines: make(map[string][]int)}
 	for i, line := range strings.Split(string(data), "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
@@ -39,30 +51,35 @@ func ParseBaseline(data []byte) (*Baseline, error) {
 		if strings.Count(line, ": ") < 2 {
 			return nil, fmt.Errorf("baseline line %d: want \"file: rule: message\", got %q", i+1, line)
 		}
-		b.counts[line]++
+		b.lines[line] = append(b.lines[line], i+1)
 	}
 	return b, nil
 }
 
 // Filter splits diagnostics into new findings and the count absorbed by the
-// baseline. Matching is by (file, rule, message) with multiplicity.
-func (b *Baseline) Filter(diags []Diagnostic) (kept []Diagnostic, baselined int) {
-	// Not on the sim path: map iteration order is irrelevant to the
-	// count-decrement matching below.
-	remaining := make(map[string]int, len(b.counts))
-	for k, v := range b.counts {
-		remaining[k] = v
-	}
+// baseline, and returns the baseline lines that matched no finding, in file
+// order. Matching is by (file, rule, message) with multiplicity; when fewer
+// findings than lines share a text, the later lines are the unmatched ones.
+// Unmatched lines mean something only when every rule ran.
+func (b *Baseline) Filter(diags []Diagnostic) (kept []Diagnostic, baselined int, unmatched []BaselineLine) {
+	used := make(map[string]int, len(b.lines))
 	for _, d := range diags {
 		k := baselineKey(d)
-		if remaining[k] > 0 {
-			remaining[k]--
+		if used[k] < len(b.lines[k]) {
+			used[k]++
 			baselined++
 			continue
 		}
 		kept = append(kept, d)
 	}
-	return kept, baselined
+	// Not on the sim path, and the lines are sorted below.
+	for k, lines := range b.lines {
+		for _, l := range lines[used[k]:] {
+			unmatched = append(unmatched, BaselineLine{Line: l, Text: k})
+		}
+	}
+	sort.Slice(unmatched, func(i, j int) bool { return unmatched[i].Line < unmatched[j].Line })
+	return kept, baselined, unmatched
 }
 
 // FormatBaseline renders diagnostics as baseline file contents: a header
