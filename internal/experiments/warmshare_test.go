@@ -67,7 +67,9 @@ func TestSharedSweepWarmsUpOncePerKey(t *testing.T) {
 
 // TestRunnerWarmupSingleflight hammers one warmup key from many goroutines
 // and requires the compute function to run exactly once, with every caller
-// receiving the same blob.
+// receiving the same blob. Each caller holds a worker slot, as a run's
+// compute does: a duplicate caller hands its slot back while it waits, so
+// without one it would block on an empty semaphore.
 func TestRunnerWarmupSingleflight(t *testing.T) {
 	r := newRunner(4)
 	var mu sync.Mutex
@@ -78,6 +80,8 @@ func TestRunnerWarmupSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			r.sem <- struct{}{}
+			defer func() { <-r.sem }()
 			blobs[i], _ = r.warmup("k", func() ([]byte, error) {
 				mu.Lock()
 				computes++
