@@ -7,13 +7,14 @@ check: fmt vet lint-human build test bench-smoke race
 	@echo "check: OK"
 
 fmt:
-	@out="$$(gofmt -l cmd internal examples *.go)"; \
+	@out="$$(gofmt -l cmd internal examples bench *.go)"; \
 	if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 ## lint: simulator-aware static analysis (call-graph reachability rules,
 ## config/stat invariants; see DESIGN.md §7 and §11) against the committed
@@ -51,16 +52,15 @@ bench-smoke:
 race:
 	$(GO) test -race ./internal/sim ./internal/runahead ./internal/experiments/... ./internal/server
 
-## bench-json: record the simulator-throughput (execution-driven and
-## trace-replay), parallel-suite, warm-cache, shared-warmup-sweep,
-## Figure 15 predictor-head-to-head and warm-HTTP-request benchmarks as
-## committed JSON for cross-PR comparison. Override BENCH_OUT to compare
-## against a prior snapshot.
-BENCH_OUT ?= BENCH_7.json
+## bench-json: record every BENCHMARK.json workload over three seeds
+## through bench/run.sh (about 7 min on 2 vCPUs) as the committed
+## BENCH_OUT snapshot, with each metric's median and quartiles. With
+## BENCH_PREV set to an earlier snapshot, -compare then judges each
+## end-to-end metric against its bound in BENCHMARK.json.
+BENCH_OUT ?= BENCH_8.json
 bench-json:
-	$(GO) test -bench 'BenchmarkBaselineSimSpeed|BenchmarkTraceReplaySpeed|BenchmarkRunaheadSimSpeed|BenchmarkSuiteParallelSpeedup|BenchmarkSweepWarmupShared|BenchmarkSuiteWarmCacheSpeedup|BenchmarkServeWarmRequest|BenchmarkFigure15$$' -run '^$$' -benchtime 3x . \
-		| $(GO) run ./cmd/benchjson -o $(BENCH_OUT)
-	@cat $(BENCH_OUT)
+	bash bench/run.sh --runs 3 --out $(BENCH_OUT)
+	@if [ -n "$(BENCH_PREV)" ]; then bash bench/run.sh -compare $(BENCH_PREV) $(BENCH_OUT); fi
 
 ## fuzz-smoke: a bounded pass over each native fuzz target — the brstate
 ## codec reader, the branch-trace decoder, the persistent-cache result

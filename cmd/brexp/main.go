@@ -41,9 +41,11 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	br "repro"
+	"repro/internal/experiments"
 	"repro/internal/runahead"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -51,7 +53,7 @@ import (
 
 func main() {
 	var (
-		figure      = flag.String("figure", "all", "all | 1 | 2 | 3 | 5 | 10 | 11top | 11bottom | 12 | 13 | 14 | 15 | tables")
+		figure      = flag.String("figure", "all", "comma-separated list of: all | "+strings.Join(experiments.FigureNames(), " | ")+" | tables")
 		quick       = flag.Bool("quick", false, "reduced workload set and budgets")
 		instrs      = flag.Uint64("instrs", 0, "override measured instruction budget per run")
 		warmup      = flag.Uint64("warmup", 0, "override warmup instructions")
@@ -175,24 +177,11 @@ func main() {
 		return
 	}
 
-	type fig struct {
-		name string
-		run  func() (*stats.Table, error)
+	selected, err := selectFigures(*figure)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "brexp: %v\n", err)
+		os.Exit(1)
 	}
-	figs := []fig{
-		{"1", s.Figure1},
-		{"2", s.Figure2},
-		{"3", s.Figure3},
-		{"5", s.Figure5},
-		{"10", s.Figure10},
-		{"11top", s.Figure11Top},
-		{"11bottom", s.Figure11Bottom},
-		{"12", s.Figure12},
-		{"13", func() (*stats.Table, error) { t, _, err := s.Figure13(); return t, err }},
-		{"14", s.Figure14},
-		{"15", s.Figure15},
-	}
-
 	emit := func(t *stats.Table) {
 		if *asJSON {
 			enc := json.NewEncoder(os.Stdout)
@@ -205,33 +194,53 @@ func main() {
 		}
 		fmt.Println(t)
 	}
-	want := map[string]bool{}
-	for _, w := range strings.Split(strings.ToLower(*figure), ",") {
-		if w = strings.TrimSpace(w); w != "" {
-			want[w] = true
-		}
-	}
-	ran := false
-	if want["all"] || want["tables"] {
-		emit(br.Table1())
-		emit(br.Table2())
-		emit(br.AreaTable())
-		ran = true
-	}
-	for _, f := range figs {
-		if !want["all"] && !want[f.name] {
+	for _, name := range selected {
+		if name == "tables" {
+			emit(br.Table1())
+			emit(br.Table2())
+			emit(br.AreaTable())
 			continue
 		}
-		t, err := f.run()
+		// selectFigures returns only registered names.
+		table, _ := experiments.FigureByName(name)
+		t, err := table(s)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "brexp: figure %s: %v\n", f.name, err)
+			fmt.Fprintf(os.Stderr, "brexp: figure %s: %v\n", name, err)
 			os.Exit(1)
 		}
 		emit(t)
-		ran = true
 	}
-	if !ran {
-		fmt.Fprintf(os.Stderr, "brexp: unknown figure %q\n", *figure)
-		os.Exit(1)
+}
+
+// selectFigures parses -figure, a comma-separated, case-insensitive list of
+// figure names, "tables" and "all" (the tables and every figure). It
+// returns "tables" first when selected, then the selected figures in the
+// paper's order, whatever order they were listed in. An unknown name is an
+// error naming it.
+func selectFigures(spec string) ([]string, error) {
+	names := experiments.FigureNames()
+	want := map[string]bool{}
+	for _, w := range strings.Split(strings.ToLower(spec), ",") {
+		w = strings.TrimSpace(w)
+		if w == "" {
+			continue
+		}
+		if w != "all" && w != "tables" && !slices.Contains(names, w) {
+			return nil, fmt.Errorf("unknown figure %q (want all, tables or one of %v)", w, names)
+		}
+		want[w] = true
 	}
+	var selected []string
+	if want["all"] || want["tables"] {
+		selected = append(selected, "tables")
+	}
+	for _, name := range names {
+		if want["all"] || want[name] {
+			selected = append(selected, name)
+		}
+	}
+	if len(selected) == 0 {
+		return nil, fmt.Errorf("-figure %q names no figure", spec)
+	}
+	return selected, nil
 }

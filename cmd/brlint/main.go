@@ -13,7 +13,7 @@
 //
 // The package pattern argument is accepted for familiarity but the whole
 // module is always loaded: the rules are cross-package contracts (call-graph
-// reachability, config-validate, result-agg) that only make sense
+// reachability, config-validate, config-partition) that only make sense
 // module-wide.
 //
 // Exit codes are a contract CI relies on:

@@ -8,9 +8,6 @@
 //     see DESIGN.md "Determinism & static analysis").
 //   - config-validate: every exported Config struct under internal/ has a
 //     Validate() error method and every New* constructor taking one calls it.
-//   - result-agg: every numeric field of sim.Result is aggregated in
-//     sim.RunWeighted, so new counters cannot be silently dropped from the
-//     weighted results.
 //   - float-compare: no ==/!= on floating-point operands in the metric
 //     packages.
 //   - goroutine-safety: no go statements or sync primitives on the
@@ -92,7 +89,6 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		Determinism(),
 		ConfigValidate(),
-		ResultAgg(),
 		FloatCompare(),
 		GoroutineSafety(),
 		TraceGuard(),

@@ -865,6 +865,48 @@ func (s *Suite) Figure15() (*stats.Table, error) {
 	return t, nil
 }
 
+// figures is the figure registry, in the paper's order: the names brexp
+// -figure and brserve figure requests accept, each with the Suite method
+// that builds its table.
+var figures = []struct {
+	name  string
+	table func(*Suite) (*stats.Table, error)
+}{
+	{"1", (*Suite).Figure1},
+	{"2", (*Suite).Figure2},
+	{"3", (*Suite).Figure3},
+	{"5", (*Suite).Figure5},
+	{"10", (*Suite).Figure10},
+	{"11top", (*Suite).Figure11Top},
+	{"11bottom", (*Suite).Figure11Bottom},
+	{"12", (*Suite).Figure12},
+	{"13", func(s *Suite) (*stats.Table, error) {
+		t, _, err := s.Figure13()
+		return t, err
+	}},
+	{"14", (*Suite).Figure14},
+	{"15", (*Suite).Figure15},
+}
+
+// FigureByName returns the function that builds the named figure's table.
+func FigureByName(name string) (func(*Suite) (*stats.Table, error), error) {
+	for _, f := range figures {
+		if f.name == name {
+			return f.table, nil
+		}
+	}
+	return nil, fmt.Errorf("experiments: unknown figure %q (want one of %v)", name, FigureNames())
+}
+
+// FigureNames lists every figure name, in the paper's order.
+func FigureNames() []string {
+	names := make([]string, len(figures))
+	for i, f := range figures {
+		names[i] = f.name
+	}
+	return names
+}
+
 // Table1 renders the baseline configuration (the paper's Table 1).
 func Table1() *stats.Table {
 	c := core.DefaultConfig()

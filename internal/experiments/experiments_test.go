@@ -99,6 +99,23 @@ func TestTablesRender(t *testing.T) {
 	}
 }
 
+// TestFigureNames pins the figure registry that brexp -figure and
+// brserve's catalog both read: the paper's figures, in the paper's order.
+func TestFigureNames(t *testing.T) {
+	want := []string{"1", "2", "3", "5", "10", "11top", "11bottom", "12", "13", "14", "15"}
+	if got := FigureNames(); strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("FigureNames() = %v, want %v", got, want)
+	}
+	for _, name := range want {
+		if _, err := FigureByName(name); err != nil {
+			t.Errorf("FigureByName(%q): %v", name, err)
+		}
+	}
+	if _, err := FigureByName("11TOP"); err == nil || !strings.Contains(err.Error(), `"11TOP"`) {
+		t.Errorf("FigureByName(\"11TOP\") error = %v, want one naming it", err)
+	}
+}
+
 func TestSuiteCachesRuns(t *testing.T) {
 	opts := QuickOptions()
 	opts.Workloads = []string{"mcf_17"}

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"sort"
 
+	"repro/internal/experiments"
 	"repro/internal/runahead"
 	"repro/internal/sim"
 	"repro/internal/workloads"
@@ -203,6 +204,6 @@ func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 		Workloads:  wls,
 		Predictors: sim.PredictorNames(),
 		BRConfigs:  runahead.ConfigNames(),
-		Figures:    Figures(),
+		Figures:    experiments.FigureNames(),
 	})
 }

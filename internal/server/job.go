@@ -226,11 +226,15 @@ func (s *Server) execute(j *job, suite *experiments.Suite) (body, traceBody []by
 		body, err = ResultBody(RunResult{Request: j.req, Result: res})
 		return body, traceBody, err
 	case "figure":
-		tables, err := figureTables(suite, j.req.Figure)
+		table, err := experiments.FigureByName(j.req.Figure)
 		if err != nil {
 			return nil, nil, err
 		}
-		body, err = ResultBody(FigureResult{Request: j.req, Tables: tables})
+		t, err := table(suite)
+		if err != nil {
+			return nil, nil, err
+		}
+		body, err = ResultBody(FigureResult{Request: j.req, Tables: []*stats.Table{t}})
 		return body, nil, err
 	default:
 		// Unreachable: NormalizeRequest rejected other kinds at submit.
@@ -274,41 +278,4 @@ func (s *Server) tracedRun(req Request) ([]byte, error) {
 		return nil, runErr
 	}
 	return buf.Bytes(), nil
-}
-
-// figureTables dispatches a figure name onto the suite.
-func figureTables(s *experiments.Suite, name string) ([]*stats.Table, error) {
-	one := func(t *stats.Table, err error) ([]*stats.Table, error) {
-		if err != nil {
-			return nil, err
-		}
-		return []*stats.Table{t}, nil
-	}
-	switch name {
-	case "1":
-		return one(s.Figure1())
-	case "2":
-		return one(s.Figure2())
-	case "3":
-		return one(s.Figure3())
-	case "5":
-		return one(s.Figure5())
-	case "10":
-		return one(s.Figure10())
-	case "11top":
-		return one(s.Figure11Top())
-	case "11bottom":
-		return one(s.Figure11Bottom())
-	case "12":
-		return one(s.Figure12())
-	case "13":
-		t, _, err := s.Figure13()
-		return one(t, err)
-	case "14":
-		return one(s.Figure14())
-	case "15":
-		return one(s.Figure15())
-	default:
-		return nil, fmt.Errorf("server: unknown figure %q", name)
-	}
 }

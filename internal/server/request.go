@@ -15,6 +15,7 @@ import (
 	"math"
 	"strings"
 
+	"repro/internal/experiments"
 	"repro/internal/runahead"
 	"repro/internal/sim"
 	"repro/internal/workloads"
@@ -40,7 +41,7 @@ type Request struct {
 	// traced simulation, never cached), downloadable at /trace.
 	Trace bool `json:"trace,omitempty"`
 
-	// Figure requests: a figure name from Figures().
+	// Figure requests: a figure name from experiments.FigureNames().
 	Figure string `json:"figure,omitempty"`
 	// Workloads restricts the figure's benchmark set (nil = all).
 	Workloads []string `json:"workloads,omitempty"`
@@ -131,8 +132,8 @@ func NormalizeRequest(req Request, d Defaults) (Request, error) {
 		if req.Workload != "" || req.Predictor != "" || req.BR != "" || req.Trace {
 			return Request{}, fmt.Errorf("server: figure request: workload/predictor/br/trace fields apply only to run requests")
 		}
-		if !validFigure(req.Figure) {
-			return Request{}, fmt.Errorf("server: unknown figure %q (want one of %v)", req.Figure, Figures())
+		if _, err := experiments.FigureByName(req.Figure); err != nil {
+			return Request{}, fmt.Errorf("server: %w", err)
 		}
 		for _, wl := range req.Workloads {
 			if err := checkWorkload(wl); err != nil {
@@ -209,18 +210,4 @@ func fingerprint(req Request) string {
 	h := fnv.New64a()
 	h.Write(blob)
 	return fmt.Sprintf("job-%016x", h.Sum64())
-}
-
-// Figures lists the accepted figure names.
-func Figures() []string {
-	return []string{"1", "2", "3", "5", "10", "11top", "11bottom", "12", "13", "14", "15"}
-}
-
-func validFigure(name string) bool {
-	for _, f := range Figures() {
-		if f == name {
-			return true
-		}
-	}
-	return false
 }

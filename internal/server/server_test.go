@@ -470,7 +470,7 @@ func TestServeCatalog(t *testing.T) {
 	for name, lists := range map[string][2][]string{
 		"predictors": {c.Predictors, sim.PredictorNames()},
 		"br_configs": {c.BRConfigs, runahead.ConfigNames()},
-		"figures":    {c.Figures, Figures()},
+		"figures":    {c.Figures, experiments.FigureNames()},
 	} {
 		if got, want := strings.Join(lists[0], ","), strings.Join(lists[1], ","); got != want || want == "" {
 			t.Errorf("catalog %s = [%s], want [%s]", name, got, want)

@@ -54,8 +54,12 @@ func TestSimConfigValidate(t *testing.T) {
 	}
 
 	// Run must reject, not panic, on an invalid configuration.
-	if _, err := RunWeighted("mcf_17", workloads.SmallScale(), bad, DefaultRegions()); err == nil {
-		t.Fatal("RunWeighted accepted an invalid configuration")
+	w, err := workloads.ByName("mcf_17", workloads.SmallScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(w, bad); err == nil || !strings.Contains(err.Error(), "runahead config") {
+		t.Fatalf("Run accepted an invalid configuration: %v", err)
 	}
 }
 

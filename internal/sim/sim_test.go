@@ -74,43 +74,6 @@ func TestBranchRunaheadAcrossKernels(t *testing.T) {
 	}
 }
 
-func TestRunWeightedRegions(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow")
-	}
-	cfg := smallCfg(nil)
-	cfg.Warmup = 20_000
-	cfg.MaxInstrs = 60_000
-	res, err := RunWeighted("mcf_17", workloads.SmallScale(), cfg, DefaultRegions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Retire width can overshoot each region by a couple of micro-ops.
-	if res.Instrs < 3*60_000 || res.Instrs > 3*60_000+12 {
-		t.Fatalf("aggregated instrs = %d", res.Instrs)
-	}
-	if res.IPC <= 0 || res.MPKI <= 0 {
-		t.Fatalf("implausible weighted metrics: %+v", res)
-	}
-	// Unequal weights must shift the average toward the heavier region.
-	single, err := RunWeighted("mcf_17", workloads.SmallScale(), cfg,
-		[]Region{{Seed: 1, Weight: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	heavy, err := RunWeighted("mcf_17", workloads.SmallScale(), cfg,
-		[]Region{{Seed: 1, Weight: 100}, {Seed: 2, Weight: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := heavy.IPC - single.IPC; diff > 0.05 || diff < -0.05 {
-		t.Fatalf("weighting broken: heavy=%.3f single-region=%.3f", heavy.IPC, single.IPC)
-	}
-	if _, err := RunWeighted("mcf_17", workloads.SmallScale(), cfg, nil); err == nil {
-		t.Fatal("expected error for empty region list")
-	}
-}
-
 // TestHardBranchesStayHardAtDefaultScale guards against workload
 // regressions where TAGE memorizes a kernel's outcome pattern (which would
 // invalidate every Branch Runahead experiment on it).
