@@ -1,0 +1,79 @@
+package main
+
+import (
+	"io"
+	"os"
+	"strings"
+	"testing"
+)
+
+// TestParseArgsRejectsUnreadFlags: a flag the selected mode does not read
+// is a usage error that names the flag and the mode.
+func TestParseArgsRejectsUnreadFlags(t *testing.T) {
+	for _, c := range []struct {
+		args string
+		want []string
+	}{
+		{"-quick -figure 2 -predictor ldbp -br big", []string{"-br is not read in figure mode", "-predictor is not read in figure mode"}},
+		{"-trace t.json -workload mcf_17", []string{"-workload is not read in -trace mode"}},
+		{"-trace-config bogus", []string{"-trace-config is not read in figure mode"}},
+		{"-trace t.json -quick -json", []string{"-json is not read in -trace mode", "-quick is not read in -trace mode"}},
+		{"-workload mcf_17 -figure 10", []string{"-figure is not read in -workload mode"}},
+		{"-workload mcf_17 -sweepinstrs 1000 -j 2", []string{"-j is not read", "-sweepinstrs is not read"}},
+		{"-trace-workload mcf_17", []string{"-trace-workload is not read in figure mode, only in -trace mode"}},
+		{"-figure 10 extra", []string{`unexpected argument "extra"`}},
+		{"-resume", []string{"-resume requires -cache-dir"}},
+	} {
+		_, err := parseArgs(strings.Fields(c.args), io.Discard)
+		if err == nil {
+			t.Errorf("brexp %s: accepted", c.args)
+			continue
+		}
+		for _, w := range c.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("brexp %s: error %q does not say %q", c.args, err, w)
+			}
+		}
+	}
+}
+
+// TestParseArgsAcceptsDocumentedUsage: every brexp usage in main.go's doc
+// comment, and every one CI runs, still parses, in the mode it implies.
+func TestParseArgsAcceptsDocumentedUsage(t *testing.T) {
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var usages []string
+	for _, line := range strings.Split(string(src), "\n") {
+		if rest, ok := strings.CutPrefix(line, "//\tbrexp"); ok {
+			usages = append(usages, strings.TrimSpace(strings.SplitN(rest, "#", 2)[0]))
+		}
+	}
+	if len(usages) < 10 {
+		t.Fatalf("found %d usages in main.go's doc comment, want at least 10", len(usages))
+	}
+	usages = append(usages,
+		"-figure 15 -quick -j 4",
+		"-figure 15 -quick -j 4 -json",
+		"-quick -workload mcf_17 -br mini",
+		"-workload trace:leela_17.btr -warmup 20000 -instrs 60000",
+	)
+	for _, u := range usages {
+		c, err := parseArgs(strings.Fields(u), io.Discard)
+		if err != nil {
+			t.Errorf("brexp %s: %v", u, err)
+			continue
+		}
+		want := modeFigures
+		switch {
+		case strings.Contains(u, "-trace "):
+			want = modeTrace
+		case strings.Contains(u, "-workload "):
+			want = modeWorkload
+		}
+		if c.mode != want {
+			t.Errorf("brexp %s: parsed as %s, want %s", u, c.mode, want)
+		}
+	}
+}

@@ -32,12 +32,18 @@
 //	brexp -trace out.json                          # leela_17 under Mini
 //	brexp -trace out.json -trace-workload mcf_17 -trace-config big
 //	brexp -trace out.json -trace-filter pc=0x4a0   # one branch's events
+//
+// A flag the selected mode does not read (-br without -workload, -workload
+// with -trace, -trace-config without -trace) is a usage error: brexp names
+// the flag and the mode and exits 2 before it simulates anything.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -51,36 +57,147 @@ import (
 	"repro/internal/stats"
 )
 
+// mode is what one brexp invocation does: print figures (the default), run
+// a single point (-workload) or trace a single run (-trace).
+type mode uint8
+
+const (
+	modeFigures mode = 1 << iota
+	modeWorkload
+	modeTrace
+)
+
+func (m mode) String() string {
+	var names []string
+	for _, n := range []struct {
+		m    mode
+		name string
+	}{{modeFigures, "figure mode"}, {modeWorkload, "-workload mode"}, {modeTrace, "-trace mode"}} {
+		if m&n.m != 0 {
+			names = append(names, n.name)
+		}
+	}
+	return strings.Join(names, " and ")
+}
+
+// flagModes records, for each flag that only some modes read, the modes
+// that read it. The profiling flags apply in every mode and are absent.
+var flagModes = map[string]mode{
+	"figure":         modeFigures,
+	"sweepinstrs":    modeFigures,
+	"j":              modeFigures,
+	"quick":          modeFigures | modeWorkload,
+	"v":              modeFigures | modeWorkload,
+	"json":           modeFigures | modeWorkload,
+	"cache-dir":      modeFigures | modeWorkload,
+	"no-cache":       modeFigures | modeWorkload,
+	"resume":         modeFigures | modeWorkload,
+	"share-warmup":   modeFigures | modeWorkload,
+	"instrs":         modeFigures | modeWorkload | modeTrace,
+	"warmup":         modeFigures | modeWorkload | modeTrace,
+	"workload":       modeWorkload,
+	"predictor":      modeWorkload,
+	"br":             modeWorkload,
+	"trace":          modeTrace,
+	"trace-filter":   modeTrace,
+	"trace-workload": modeTrace,
+	"trace-config":   modeTrace,
+}
+
+// cli holds the parsed command line.
+type cli struct {
+	mode                   mode
+	figure                 string
+	quick, verbose, asJSON bool
+	instrs, warmup         uint64
+	sweepInstrs            uint64
+	jobs                   int
+	cacheDir               string
+	noCache, resume        bool
+	shareWarmup            bool
+	cpuProfile, memProfile string
+
+	workload, predictor, brConfig string
+
+	trace traceOptions
+}
+
+// parseArgs parses brexp's arguments, writing flag errors and usage to
+// stderr. An explicitly set flag that the selected mode does not read is
+// an error naming the flag and the mode, so nothing the user asked for is
+// silently dropped.
+func parseArgs(args []string, stderr io.Writer) (*cli, error) {
+	c := &cli{}
+	fs := flag.NewFlagSet("brexp", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&c.figure, "figure", "all", "comma-separated list of: all | "+strings.Join(experiments.FigureNames(), " | ")+" | tables")
+	fs.BoolVar(&c.quick, "quick", false, "reduced workload set and budgets")
+	fs.Uint64Var(&c.instrs, "instrs", 0, "override measured instruction budget per run")
+	fs.Uint64Var(&c.warmup, "warmup", 0, "override warmup instructions")
+	fs.BoolVar(&c.verbose, "v", false, "print per-run progress")
+	fs.BoolVar(&c.asJSON, "json", false, "emit tables as JSON instead of text")
+	fs.Uint64Var(&c.sweepInstrs, "sweepinstrs", 0, "override Figure 13 sweep budget per run")
+	fs.IntVar(&c.jobs, "j", 0, "max concurrent simulations (0 = GOMAXPROCS); output is identical for any value")
+	fs.StringVar(&c.cacheDir, "cache-dir", "", "persistent run cache directory; completed simulation points are reused across invocations")
+	fs.BoolVar(&c.noCache, "no-cache", false, "recompute every point, ignoring the persistent cache even when -cache-dir is set")
+	fs.BoolVar(&c.resume, "resume", false, "with -cache-dir: persist mid-run snapshots and resume interrupted points on restart")
+	fs.BoolVar(&c.shareWarmup, "share-warmup", false, "warm up once per workload and fork each point from the shared snapshot (WarmupBarrier mode; overridden by -resume)")
+	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile to this path")
+	fs.StringVar(&c.memProfile, "memprofile", "", "write a heap profile to this path on exit")
+
+	fs.StringVar(&c.workload, "workload", "", "run one simulation point instead of figures: a kernel name or trace:<file.btr> (see -predictor/-br)")
+	fs.StringVar(&c.predictor, "predictor", sim.PredTage64.String(), "predictor for -workload mode: "+strings.Join(sim.PredictorNames(), "|"))
+	fs.StringVar(&c.brConfig, "br", "", "Branch Runahead config for -workload mode: "+strings.Join(runahead.ConfigNames(), "|")+" (empty = predictor alone)")
+
+	fs.StringVar(&c.trace.out, "trace", "", "write a Chrome trace_event JSON of one run to this path and exit")
+	fs.StringVar(&c.trace.filter, "trace-filter", "", "only trace events for one branch: pc=0x...")
+	fs.StringVar(&c.trace.workload, "trace-workload", "leela_17", "workload for -trace mode")
+	fs.StringVar(&c.trace.config, "trace-config", "mini", "configuration for -trace mode: baseline|"+strings.Join(runahead.ConfigNames(), "|"))
+	if err := fs.Parse(args); err != nil {
+		return nil, err // the flag set has reported it
+	}
+	switch {
+	case c.trace.out != "":
+		c.mode = modeTrace
+	case c.workload != "":
+		c.mode = modeWorkload
+	default:
+		c.mode = modeFigures
+	}
+	var unread []string
+	fs.Visit(func(f *flag.Flag) {
+		if m, ok := flagModes[f.Name]; ok && m&c.mode == 0 {
+			unread = append(unread, fmt.Sprintf("-%s is not read in %s, only in %s", f.Name, c.mode, m))
+		}
+	})
+	var err error
+	switch {
+	case len(unread) > 0:
+		err = errors.New(strings.Join(unread, "; "))
+	case fs.NArg() > 0:
+		err = fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	case c.resume && c.cacheDir == "":
+		err = errors.New("-resume requires -cache-dir")
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "brexp: %v\n", err)
+		return nil, err
+	}
+	c.trace.warmup, c.trace.instrs = c.warmup, c.instrs
+	return c, nil
+}
+
 func main() {
-	var (
-		figure      = flag.String("figure", "all", "comma-separated list of: all | "+strings.Join(experiments.FigureNames(), " | ")+" | tables")
-		quick       = flag.Bool("quick", false, "reduced workload set and budgets")
-		instrs      = flag.Uint64("instrs", 0, "override measured instruction budget per run")
-		warmup      = flag.Uint64("warmup", 0, "override warmup instructions")
-		verbose     = flag.Bool("v", false, "print per-run progress")
-		asJSON      = flag.Bool("json", false, "emit tables as JSON instead of text")
-		sweepInstrs = flag.Uint64("sweepinstrs", 0, "override Figure 13 sweep budget per run")
-		jobs        = flag.Int("j", 0, "max concurrent simulations (0 = GOMAXPROCS); output is identical for any value")
-		cacheDir    = flag.String("cache-dir", "", "persistent run cache directory; completed simulation points are reused across invocations")
-		noCache     = flag.Bool("no-cache", false, "recompute every point, ignoring the persistent cache even when -cache-dir is set")
-		resume      = flag.Bool("resume", false, "with -cache-dir: persist mid-run snapshots and resume interrupted points on restart")
-		shareWarmup = flag.Bool("share-warmup", false, "warm up once per workload and fork each point from the shared snapshot (WarmupBarrier mode; overridden by -resume)")
-		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this path")
-		memProfile  = flag.String("memprofile", "", "write a heap profile to this path on exit")
+	c, err := parseArgs(os.Args[1:], os.Stderr)
+	if err == flag.ErrHelp {
+		return
+	}
+	if err != nil {
+		os.Exit(2)
+	}
 
-		workloadRun = flag.String("workload", "", "run one simulation point instead of figures: a kernel name or trace:<file.btr> (see -predictor/-br)")
-		predictor   = flag.String("predictor", sim.PredTage64.String(), "predictor for -workload mode: "+strings.Join(sim.PredictorNames(), "|"))
-		brConfig    = flag.String("br", "", "Branch Runahead config for -workload mode: "+strings.Join(runahead.ConfigNames(), "|")+" (empty = predictor alone)")
-
-		traceOut      = flag.String("trace", "", "write a Chrome trace_event JSON of one run to this path and exit")
-		traceFilter   = flag.String("trace-filter", "", "only trace events for one branch: pc=0x...")
-		traceWorkload = flag.String("trace-workload", "leela_17", "workload for -trace mode")
-		traceConfig   = flag.String("trace-config", "mini", "configuration for -trace mode: baseline|"+strings.Join(runahead.ConfigNames(), "|"))
-	)
-	flag.Parse()
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+	if c.cpuProfile != "" {
+		f, err := os.Create(c.cpuProfile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "brexp: -cpuprofile: %v\n", err)
 			os.Exit(1)
@@ -91,9 +208,9 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *memProfile != "" {
+	if c.memProfile != "" {
 		defer func() {
-			f, err := os.Create(*memProfile)
+			f, err := os.Create(c.memProfile)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "brexp: -memprofile: %v\n", err)
 				return
@@ -106,16 +223,8 @@ func main() {
 		}()
 	}
 
-	if *traceOut != "" {
-		opts := traceOptions{
-			out:      *traceOut,
-			filter:   *traceFilter,
-			workload: *traceWorkload,
-			config:   *traceConfig,
-			warmup:   *warmup,
-			instrs:   *instrs,
-		}
-		if err := runTrace(opts); err != nil {
+	if c.mode == modeTrace {
+		if err := runTrace(c.trace); err != nil {
 			fmt.Fprintf(os.Stderr, "brexp: trace: %v\n", err)
 			os.Exit(1)
 		}
@@ -123,39 +232,35 @@ func main() {
 	}
 
 	opts := br.DefaultExperimentOptions()
-	if *quick {
+	if c.quick {
 		opts = br.QuickExperimentOptions()
 	}
-	if *instrs > 0 {
-		opts.Instrs = *instrs
+	if c.instrs > 0 {
+		opts.Instrs = c.instrs
 	}
-	if *warmup > 0 {
-		opts.Warmup = *warmup
+	if c.warmup > 0 {
+		opts.Warmup = c.warmup
 	}
-	if *sweepInstrs > 0 {
-		opts.SweepInstrs = *sweepInstrs
+	if c.sweepInstrs > 0 {
+		opts.SweepInstrs = c.sweepInstrs
 	}
-	opts.Jobs = *jobs
-	opts.CacheDir = *cacheDir
-	opts.NoCache = *noCache
-	opts.Resume = *resume
-	opts.ShareWarmup = *shareWarmup
-	if *resume && *cacheDir == "" {
-		fmt.Fprintln(os.Stderr, "brexp: -resume requires -cache-dir")
-		os.Exit(2)
-	}
-	if *verbose {
+	opts.Jobs = c.jobs
+	opts.CacheDir = c.cacheDir
+	opts.NoCache = c.noCache
+	opts.Resume = c.resume
+	opts.ShareWarmup = c.shareWarmup
+	if c.verbose {
 		opts.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
 	}
 	s := br.NewExperiments(opts)
 
-	if *workloadRun != "" {
-		res, err := s.RunNamed(*workloadRun, *predictor, *brConfig)
+	if c.mode == modeWorkload {
+		res, err := s.RunNamed(c.workload, c.predictor, c.brConfig)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "brexp: -workload: %v\n", err)
 			os.Exit(1)
 		}
-		if *asJSON {
+		if c.asJSON {
 			enc := json.NewEncoder(os.Stdout)
 			enc.SetIndent("", "  ")
 			if err := enc.Encode(res); err != nil {
@@ -166,7 +271,7 @@ func main() {
 		}
 		fmt.Printf("%s under %s: IPC %.4f  MPKI %.4f  (%d instrs, %d cycles, %d mispredicts)\n",
 			res.Workload, res.Config, res.IPC, res.MPKI, res.Instrs, res.Cycles, res.Mispred)
-		if *brConfig != "" {
+		if c.brConfig != "" {
 			fmt.Printf("chains     %d installed, avg %.1f uops, %.0f%% with affector/guard triggers\n",
 				res.Chains, res.AvgChainLen, 100*res.AGFraction)
 			fmt.Printf("DCE        %d uops (%d loads), %d syncs\n", res.DCEUops, res.DCELoads, res.Syncs)
@@ -177,13 +282,13 @@ func main() {
 		return
 	}
 
-	selected, err := selectFigures(*figure)
+	selected, err := selectFigures(c.figure)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "brexp: %v\n", err)
 		os.Exit(1)
 	}
 	emit := func(t *stats.Table) {
-		if *asJSON {
+		if c.asJSON {
 			enc := json.NewEncoder(os.Stdout)
 			enc.SetIndent("", "  ")
 			if err := enc.Encode(t); err != nil {

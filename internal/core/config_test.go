@@ -18,6 +18,7 @@ func TestConfigValidate(t *testing.T) {
 		{"zero reservation stations", func(c *Config) { c.RSSize = 0 }},
 		{"zero LSQ", func(c *Config) { c.LSQSize = 0 }},
 		{"zero fetch queue", func(c *Config) { c.FetchQSize = 0 }},
+		{"window beyond link range", func(c *Config) { c.ROBSize = maxInFlight - c.FetchQSize + 1 }},
 		{"no ALUs", func(c *Config) { c.IntALUs = 0 }},
 		{"no memory ports", func(c *Config) { c.MemPorts = 0 }},
 		{"zero frontend depth", func(c *Config) { c.FrontendDepth = 0 }},

@@ -41,10 +41,22 @@ type Core struct {
 
 	fetchQ []*DynUop
 	rob    []*DynUop
-	rs     []*DynUop
+	// rsCount is the reservation stations' occupancy: micro-ops dispatched
+	// and not yet issued (StInRS).
+	rsCount int
+	// ready holds the RS entries whose producers have all delivered
+	// (waiting == 0, wakeAt <= now), oldest first; issue selects from it.
+	// timed holds those whose producers have all issued but whose data
+	// arrives later (waiting == 0, wakeAt > now), unordered. nextWake is at
+	// most the earliest wakeAt on timed. Both have capacity RSSize.
+	ready    []*DynUop
+	timed    []*DynUop
+	nextWake uint64
 	// issued holds the executing micro-ops (StIssued), in issue order;
-	// complete takes them out as their results arrive.
-	issued []*DynUop
+	// complete takes them out as their results arrive. nextDone is at most
+	// the earliest DoneAt on it.
+	issued   []*DynUop
+	nextDone uint64
 
 	lastWriter [isa.NumRegs]*DynUop
 	lsqCount   int
@@ -74,9 +86,6 @@ type Core struct {
 	//brlint:allow snapshot-coverage
 	Ctr      CoreCounters
 	Branches map[uint64]*BranchStat
-
-	// issueBuf is per-cycle scratch, empty between cycles.
-	issueBuf []*DynUop //brlint:allow snapshot-coverage
 
 	// dec is the decode cache: per-static-uop register lists, latency and
 	// the branch bit, precomputed at construction and read-only afterwards.
@@ -207,8 +216,8 @@ func NewWithSource(cfg Config, src InstrSource, bp bpred.Predictor, hier Hierarc
 	c.fetchQBuf = make([]*DynUop, 2*cfg.FetchQSize)
 	c.rob = c.robBuf[:0]
 	c.fetchQ = c.fetchQBuf[:0]
-	c.rs = make([]*DynUop, 0, cfg.RSSize)
-	c.issueBuf = make([]*DynUop, 0, cfg.RSSize)
+	c.ready = make([]*DynUop, 0, cfg.RSSize)
+	c.timed = make([]*DynUop, 0, cfg.RSSize)
 	c.issued = make([]*DynUop, 0, cfg.ROBSize)
 	c.doneBuf = make([]*DynUop, 0, cfg.ROBSize)
 	c.squashBuf = make([]*DynUop, cfg.ROBSize)
@@ -261,7 +270,7 @@ func (c *Core) Run(maxRetired uint64) (uint64, error) {
 // those effects, so it is result-invariant (pinned by the skip-equivalence
 // test, and defeatable via Config.DisableCycleSkip).
 func (c *Core) skipDeadCycles() {
-	if c.cfg.DisableCycleSkip || len(c.rob) != 0 || len(c.rs) != 0 || len(c.fetchQ) != 0 || c.fetchDisabled {
+	if c.cfg.DisableCycleSkip || len(c.rob) != 0 || c.rsCount != 0 || len(c.fetchQ) != 0 || c.fetchDisabled {
 		return
 	}
 	if c.ext != nil && !c.ext.Idle() {
@@ -294,13 +303,14 @@ func (c *Core) skipDeadCycles() {
 // micro-op has retired or been squashed: the quiesce barrier ahead of a
 // snapshot. After a successful drain the ROB, reservation stations, fetch
 // queue, issued list, LSQ, store overlay and wrong-path tracker are all
-// empty, every DynUop is back in the pool, and the rename table is clear.
-// Fetch resumes on the next Cycle.
+// empty, every DynUop is back in the pool, the rename table is clear, and
+// so is the wakeup state: the ready and timed lists are empty and no
+// micro-op heads a consumer list. Fetch resumes on the next Cycle.
 func (c *Core) Drain() error {
 	c.fetchDisabled = true
 	defer func() { c.fetchDisabled = false }()
 	cycleCap := c.now + 1_000_000
-	for len(c.rob) > 0 || len(c.fetchQ) > 0 || len(c.rs) > 0 {
+	for len(c.rob) > 0 || len(c.fetchQ) > 0 || c.rsCount > 0 {
 		if c.now > cycleCap {
 			return fmt.Errorf("core: drain did not converge by cycle %d (deadlock?)", c.now)
 		}
@@ -310,6 +320,16 @@ func (c *Core) Drain() error {
 		len(c.issued) != 0 || !c.fe.poolFull() || c.lastWriter != [isa.NumRegs]*DynUop{} {
 		return fmt.Errorf("core: drained pipeline left residue (lsq=%d wrongPath=%d stores=%d issued=%d pooled=%d/%d)",
 			c.lsqCount, c.mispFetchedUnresolved, len(c.fe.stores), len(c.issued), len(c.fe.free), len(c.fe.uops))
+	}
+	lists := 0
+	for i := range c.fe.uops {
+		if c.fe.uops[i].consumers != 0 {
+			lists++
+		}
+	}
+	if len(c.ready) != 0 || len(c.timed) != 0 || lists != 0 {
+		return fmt.Errorf("core: drained pipeline left wakeup residue (ready=%d timed=%d consumer lists=%d)",
+			len(c.ready), len(c.timed), lists)
 	}
 	return nil
 }
@@ -328,7 +348,7 @@ func (c *Core) Cycle() {
 	if c.ext != nil {
 		c.ext.Tick(c.now, TickInfo{
 			SpareIssueSlots: c.cfg.IssueWidth - issued,
-			SpareRS:         c.cfg.RSSize - len(c.rs),
+			SpareRS:         c.cfg.RSSize - c.rsCount,
 		})
 	}
 	c.now++
@@ -427,10 +447,14 @@ func (c *Core) retireBranch(d *DynUop) {
 // -------------------------------------------------------------- complete --
 
 func (c *Core) complete() {
+	if c.now < c.nextDone {
+		return
+	}
 	// Take the micro-ops whose execution finishes by now out of the issued
 	// list, which is in issue order, not program order.
 	done, nd := c.doneBuf[:0], 0
 	live, nl := c.issued[:0], 0
+	next := ^uint64(0)
 	for _, d := range c.issued {
 		if d.DoneAt <= c.now {
 			done = done[:nd+1]
@@ -440,9 +464,11 @@ func (c *Core) complete() {
 			live = live[:nl+1]
 			live[nl] = d
 			nl++
+			next = min(next, d.DoneAt)
 		}
 	}
 	c.issued = live
+	c.nextDone = next
 	// Insertion-sort the few finished ones into program (Seq) order, so
 	// completion traces and branch recoveries happen oldest first.
 	for i := 1; i < nd; i++ {
@@ -544,7 +570,17 @@ func (c *Core) recoverAt(d *DynUop) {
 		c.ext.Flush(c.now, d, squashed)
 	}
 	c.traceUop(trace.StageFlush, d)
-	// Squashed micro-ops go back to the pool. Each keeps its Seq and
+	// Take squashed reservation-station entries off their producers'
+	// consumer lists, youngest first. Lists are youngest first and the
+	// squashed micro-ops are the youngest in flight, so each link is at
+	// its list's head when its turn comes.
+	for i := len(squashed) - 1; i >= 0; i-- {
+		if e := squashed[i]; e.State == StInRS {
+			c.rsCount--
+			c.unlink(e)
+		}
+	}
+	// Squashed micro-ops go back to the pool. Each keeps its Seq, links and
 	// StSquashed state until it is handed out again at fetch.
 	for _, e := range squashed {
 		if e.U.Op.IsMem() {
@@ -564,9 +600,10 @@ func (c *Core) recoverAt(d *DynUop) {
 		c.fe.releaseDynUop(e)
 	}
 	c.fetchQ = c.fetchQ[:0]
-	// Drop squashed reservation-station and issued-list entries (in place,
+	// Drop squashed entries from the wakeup and issued lists (in place,
 	// order kept).
-	c.rs = dropSquashed(c.rs)
+	c.ready = dropSquashed(c.ready)
+	c.timed = dropSquashed(c.timed)
 	c.issued = dropSquashed(c.issued)
 	// Rebuild the register rename table from the surviving ROB.
 	c.lastWriter = [isa.NumRegs]*DynUop{}
@@ -594,6 +631,23 @@ func (c *Core) recoverAt(d *DynUop) {
 	if c.tr.Enabled() {
 		c.tr.Emit(trace.Event{Cycle: c.now, PC: d.U.PC, Seq: d.Seq, Kind: trace.KindRecovery})
 	}
+}
+
+// unlink takes squashed reservation-station entry e off its producers'
+// consumer lists, slots in the reverse of rename's link order, so that
+// each link is at its list's head even when two slots share a producer.
+func (c *Core) unlink(e *DynUop) {
+	for k := linkStore; k >= 0; k-- {
+		if e.linked&(1<<k) == 0 {
+			continue
+		}
+		p := e.producer(k)
+		if p.consumers != linkOf(e, k) {
+			panic("core: squashed consumer is not at the head of its producer's list")
+		}
+		p.consumers = e.next[k]
+	}
+	e.linked = 0
 }
 
 // dropSquashed filters squashed micro-ops out of q in place, keeping order.
@@ -624,34 +678,29 @@ func opLatency(cfg *Config, op isa.Op) uint64 {
 	}
 }
 
+// issue selects up to IssueWidth micro-ops from the ready list, oldest
+// first, within the ALU and memory-port limits.
 func (c *Core) issue() int {
-	if len(c.rs) == 0 {
-		return 0
+	if c.now >= c.nextWake {
+		c.wakeTimed()
 	}
-	// Gather ready candidates. The reservation stations are kept in
-	// dispatch (sequence) order — appends and in-place filters both
-	// preserve it — so the candidate list is already oldest first.
-	cand, nc := c.issueBuf[:0], 0
-	for _, d := range c.rs {
-		if c.uopReady(d) {
-			cand = cand[:nc+1]
-			cand[nc] = d
-			nc++
-		}
-	}
-
-	issued, aluUsed, memUsed := 0, 0, 0
-	for _, d := range cand {
+	issued, aluUsed, memUsed, keep := 0, 0, 0, 0
+	for i, d := range c.ready {
 		if issued >= c.cfg.IssueWidth {
+			keep += copy(c.ready[keep:], c.ready[i:])
 			break
 		}
 		if d.U.Op.IsMem() {
 			if memUsed >= c.cfg.MemPorts {
+				c.ready[keep] = d
+				keep++
 				continue
 			}
 			memUsed++
 		} else {
 			if aluUsed >= c.cfg.IntALUs {
+				c.ready[keep] = d
+				keep++
 				continue
 			}
 			aluUsed++
@@ -659,39 +708,38 @@ func (c *Core) issue() int {
 		c.execute(d)
 		issued++
 	}
-	if issued > 0 {
-		// Remove issued entries from the reservation stations.
-		live, nl := c.rs[:0], 0
-		for _, d := range c.rs {
-			if d.State == StInRS {
-				live = live[:nl+1]
-				live[nl] = d
-				nl++
-			}
-		}
-		c.rs = live
-	}
+	c.ready = c.ready[:keep]
+	c.rsCount -= issued
 	return issued
 }
 
-func (c *Core) uopReady(d *DynUop) bool {
-	for i, p := range d.prods[:d.nprods] {
-		if c.withholds(p, d.prodSeq[i]) {
-			return false
+// wakeTimed moves the timed entries whose data has arrived onto the ready
+// list at their Seq positions, and recomputes nextWake from the rest.
+func (c *Core) wakeTimed() {
+	next, keep := ^uint64(0), 0
+	for _, d := range c.timed {
+		if d.wakeAt > c.now {
+			c.timed[keep] = d
+			keep++
+			next = min(next, d.wakeAt)
+			continue
 		}
+		n := len(c.ready)
+		c.ready = c.ready[:n+1]
+		for ; n > 0 && c.ready[n-1].Seq > d.Seq; n-- {
+			c.ready[n] = c.ready[n-1]
+		}
+		c.ready[n] = d
 	}
-	if d.IsLoad() && d.storeDep != nil && c.withholds(d.storeDep, d.storeSeq) {
-		return false
-	}
-	return true
+	c.timed = c.timed[:keep]
+	c.nextWake = next
 }
 
-// withholds reports whether producer p, linked while its Seq was seq, has
-// yet to make its result available. A Seq mismatch means p retired and its
-// DynUop was handed out again; a squashed producer never delivers, and its
-// consumers are squashed with it.
-func (c *Core) withholds(p *DynUop, seq uint64) bool {
-	return p.Seq == seq && p.State != StSquashed && !p.Done(c.now)
+// arm queues d, whose producers have all issued, on the timed list.
+func (c *Core) arm(d *DynUop) {
+	c.timed = c.timed[:len(c.timed)+1]
+	c.timed[len(c.timed)-1] = d
+	c.nextWake = min(c.nextWake, d.wakeAt)
 }
 
 func (c *Core) execute(d *DynUop) {
@@ -700,6 +748,11 @@ func (c *Core) execute(d *DynUop) {
 	c.issued[len(c.issued)-1] = d
 	c.traceUop(trace.StageIssue, d)
 	c.Ctr.Issued.Inc()
+	// Every DoneAt set below is at least now+1: ALU latencies and the
+	// D-cache hit latency are at least 1, and stores and forwarded loads
+	// take 1. complete marks d StDone at the start of cycle DoneAt, before
+	// that cycle's issue, so d's result is visible to issue exactly at
+	// DoneAt, and that is the wakeAt its consumers take.
 	switch {
 	case d.IsLoad():
 		c.Ctr.IssuedLoads.Inc()
@@ -720,6 +773,19 @@ func (c *Core) execute(d *DynUop) {
 	default:
 		d.DoneAt = c.now + c.dec[d.U.PC].lat
 	}
+	c.nextDone = min(c.nextDone, d.DoneAt)
+	// Wake the consumers: d's result time is now known. DoneAt > now, so
+	// a consumer whose last producer this was waits on the timed list.
+	for l := d.consumers; l != 0; {
+		e, k := c.fe.slotAt(l)
+		l = e.next[k]
+		e.linked &^= 1 << k
+		e.wakeAt = max(e.wakeAt, d.DoneAt)
+		if e.waiting--; e.waiting == 0 {
+			c.arm(e)
+		}
+	}
+	d.consumers = 0
 }
 
 // -------------------------------------------------------------- dispatch --
@@ -731,7 +797,7 @@ func (c *Core) dispatch() {
 		if d.ReadyAt > c.now {
 			return
 		}
-		if len(c.rob) >= c.cfg.ROBSize || len(c.rs) >= c.cfg.RSSize {
+		if len(c.rob) >= c.cfg.ROBSize || c.rsCount >= c.cfg.RSSize {
 			c.Ctr.DispatchStallBackend.Inc()
 			return
 		}
@@ -742,9 +808,17 @@ func (c *Core) dispatch() {
 		c.fetchQ = c.fetchQ[1:]
 		c.rename(d)
 		c.rob = pushQueue(c.robBuf, c.rob, d)
-		c.rs = c.rs[:len(c.rs)+1]
-		c.rs[len(c.rs)-1] = d
+		c.rsCount++
 		d.State = StInRS
+		if d.waiting == 0 {
+			if d.wakeAt <= c.now {
+				// d is the youngest RS entry, so appending keeps Seq order.
+				c.ready = c.ready[:len(c.ready)+1]
+				c.ready[len(c.ready)-1] = d
+			} else {
+				c.arm(d)
+			}
+		}
 		c.traceUop(trace.StageDispatch, d)
 		if d.U.Op.IsMem() {
 			c.lsqCount++
@@ -754,7 +828,7 @@ func (c *Core) dispatch() {
 }
 
 // rename resolves d's register sources to producing micro-ops via the
-// decode cache.
+// decode cache, and makes d wait on them and on the store it forwards from.
 func (c *Core) rename(d *DynUop) {
 	de := &c.dec[d.U.PC]
 	for _, r := range de.srcs[:de.nsrc] {
@@ -763,12 +837,33 @@ func (c *Core) rename(d *DynUop) {
 		if w := c.lastWriter[r]; w != nil {
 			d.prods[d.nprods] = w
 			d.prodSeq[d.nprods] = w.Seq
+			c.await(d, int(d.nprods), w)
 			d.nprods++
 		}
+	}
+	// The store was in flight at d's fetch; a Seq mismatch means it has
+	// since retired, and its result is available.
+	if s := d.storeDep; s != nil && s.Seq == d.storeSeq {
+		c.await(d, linkStore, s)
 	}
 	for _, r := range de.dsts[:de.ndst] {
 		c.lastWriter[r] = d
 	}
+}
+
+// await makes d wait on producer p through link slot k: on p's consumer
+// list while p is in the reservation stations, else until p's DoneAt.
+// Consumers rename in program order, so pushing at the head keeps every
+// list youngest first.
+func (c *Core) await(d *DynUop, k int, p *DynUop) {
+	if p.State == StInRS {
+		d.next[k] = p.consumers
+		p.consumers = linkOf(d, k)
+		d.linked |= 1 << k
+		d.waiting++
+		return
+	}
+	d.wakeAt = max(d.wakeAt, p.DoneAt)
 }
 
 // ----------------------------------------------------------------- fetch --

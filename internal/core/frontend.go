@@ -65,6 +65,9 @@ func newFrontend(src InstrSource, inFlight int) *frontend {
 	f.storeBuf = make([]storeRec, 2*inFlight)
 	f.stores = f.storeBuf[:0]
 	f.uops = make([]DynUop, inFlight)
+	for i := range f.uops {
+		f.uops[i].idx = uint16(i)
+	}
 	f.free = make([]*DynUop, 0, inFlight)
 	f.refillPool()
 	return f
@@ -82,9 +85,9 @@ func (f *frontend) refillPool() {
 // poolFull reports whether every DynUop is back on the free stack.
 func (f *frontend) poolFull() bool { return len(f.free) == len(f.uops) }
 
-// newDynUop pops a DynUop off the free stack and zeroes it. Zeroing here,
-// not at release, keeps a released micro-op's Seq and State readable until
-// it is handed out again.
+// newDynUop pops a DynUop off the free stack and zeroes it, all but its
+// pool index. Zeroing here, not at release, keeps a released micro-op's
+// Seq, State and links readable until it is handed out again.
 func (f *frontend) newDynUop() *DynUop {
 	n := len(f.free) - 1
 	if n < 0 {
@@ -92,7 +95,7 @@ func (f *frontend) newDynUop() *DynUop {
 	}
 	d := f.free[n]
 	f.free = f.free[:n]
-	*d = DynUop{}
+	*d = DynUop{idx: d.idx}
 	return d
 }
 

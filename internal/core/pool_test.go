@@ -50,6 +50,33 @@ func TestDrainReportsLeakedDynUop(t *testing.T) {
 	}
 }
 
+// TestDrainReportsStaleWakeupState: once the pipeline is empty, no
+// micro-op may still head a consumer list and the ready and timed lists
+// must be empty. A squash that left a link behind, planted here on a
+// drained core, is residue the barrier must refuse.
+func TestDrainReportsStaleWakeupState(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		plant      func(*Core)
+	}{
+		{"stale edge", "consumer lists=1", func(c *Core) { c.fe.uops[0].consumers = linkOf(&c.fe.uops[1], 0) }},
+		{"stale timed entry", "timed=1", func(c *Core) { c.arm(&c.fe.uops[0]) }},
+	} {
+		p, _, _ := sumBelowProgram(500, 5)
+		c := New(DefaultConfig(), p, bpred.NewTAGESCL64(), testHierarchy(), nil)
+		if _, err := c.Run(1_000); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		tc.plant(c)
+		if err := c.Drain(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: drain err = %v, want a wakeup residue error with %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestPoolBoundsInFlight: the pool holds exactly the micro-ops the fetch
 // queue and ROB can hold, and a full machine never runs it dry.
 func TestPoolBoundsInFlight(t *testing.T) {

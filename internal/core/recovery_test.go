@@ -103,8 +103,8 @@ func TestROBNeverExceedsCapacity(t *testing.T) {
 		if len(c.rob) > cfg.ROBSize {
 			t.Fatalf("ROB occupancy %d > %d", len(c.rob), cfg.ROBSize)
 		}
-		if len(c.rs) > cfg.RSSize {
-			t.Fatalf("RS occupancy %d > %d", len(c.rs), cfg.RSSize)
+		if c.rsCount > cfg.RSSize {
+			t.Fatalf("RS occupancy %d > %d", c.rsCount, cfg.RSSize)
 		}
 		if c.lsqCount > cfg.LSQSize || c.lsqCount < 0 {
 			t.Fatalf("LSQ occupancy %d outside [0,%d]", c.lsqCount, cfg.LSQSize)

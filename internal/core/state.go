@@ -17,7 +17,7 @@ const StateVersion = 1
 // branch predictor and the cache hierarchy are owned sections of the
 // whole-simulation snapshot, saved by their own components.
 func (c *Core) SaveState(w *brstate.Writer) {
-	if len(c.rob) != 0 || len(c.fetchQ) != 0 || len(c.rs) != 0 {
+	if len(c.rob) != 0 || len(c.fetchQ) != 0 || c.rsCount != 0 {
 		panic("core: SaveState requires a drained pipeline")
 	}
 	w.U64(c.now)
@@ -72,8 +72,12 @@ func (c *Core) LoadState(r *brstate.Reader) error {
 	c.fe.stores = c.fe.stores[:0]
 	c.fetchQ = c.fetchQ[:0]
 	c.rob = c.rob[:0]
-	c.rs = c.rs[:0]
+	c.rsCount = 0
+	c.ready = c.ready[:0]
+	c.timed = c.timed[:0]
+	c.nextWake = 0
 	c.issued = c.issued[:0]
+	c.nextDone = 0
 	c.fe.refillPool()
 	c.lastWriter = [isa.NumRegs]*DynUop{}
 	c.lsqCount = 0

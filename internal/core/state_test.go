@@ -51,7 +51,7 @@ func TestCoreRoundTrip(t *testing.T) {
 	simtest.RequireDeepEqual(t, "counters", c.C.Snapshot(), fresh.C.Snapshot())
 
 	// The restored pipeline must be empty, exactly like the drained source.
-	if len(fresh.rob) != 0 || len(fresh.fetchQ) != 0 || len(fresh.rs) != 0 || fresh.lsqCount != 0 {
+	if len(fresh.rob) != 0 || len(fresh.fetchQ) != 0 || fresh.rsCount != 0 || fresh.lsqCount != 0 {
 		t.Fatal("restore left pipeline structures populated")
 	}
 }
@@ -64,7 +64,7 @@ func TestSaveStateRejectsLivePipeline(t *testing.T) {
 	if _, err := c.Run(200); err != nil {
 		t.Fatal(err)
 	}
-	if len(c.rob) == 0 && len(c.fetchQ) == 0 && len(c.rs) == 0 {
+	if len(c.rob) == 0 && len(c.fetchQ) == 0 && c.rsCount == 0 {
 		t.Fatal("short run left no in-flight micro-ops; the precondition is untested")
 	}
 	defer func() {

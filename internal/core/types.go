@@ -85,6 +85,10 @@ func (c Config) Validate() error {
 			return err
 		}
 	}
+	if c.FetchQSize+c.ROBSize > maxInFlight {
+		return fmt.Errorf("core config: FetchQSize+ROBSize = %d exceeds %d in-flight micro-ops",
+			c.FetchQSize+c.ROBSize, maxInFlight)
+	}
 	if c.ROBSize < c.RetireWidth {
 		return fmt.Errorf("core config: ROBSize = %d cannot sustain RetireWidth = %d",
 			c.ROBSize, c.RetireWidth)
@@ -141,7 +145,9 @@ const (
 // retires or is squashed, after which the same memory is handed out for a
 // younger micro-op. Nothing may hold one past that point unless it also
 // records Seq and compares it before use; extension hooks must not keep the
-// pointers they are passed.
+// pointers they are passed. The wakeup structures (consumer lists and the
+// ready and timed lists) need no Seq: they hold only reservation-station
+// entries, and issue and squash take each one off before it leaves.
 type DynUop struct {
 	Seq uint64
 	U   *isa.Uop
@@ -177,16 +183,56 @@ type DynUop struct {
 	// target's Seq at link time, and a mismatch means it has retired.
 	prods    [3]*DynUop
 	prodSeq  [3]uint64
-	nprods   uint8
 	storeDep *DynUop
 	storeSeq uint64
-	State    UopState
 	ReadyAt  uint64 // earliest dispatch cycle (fetch + frontend depth)
 	DoneAt   uint64
-	Mispred  bool // resolved direction differed from the prediction
+	// Wakeup state (DESIGN.md §12). Link slot k < linkStore waits on
+	// prods[k] and slot linkStore on storeDep. At rename each producer
+	// still in the reservation stations gets the slot on its consumer
+	// list, with the slot's bit set in linked; waiting counts those
+	// links. Producers already issued fold their DoneAt into wakeAt, and
+	// so does each linked producer when it issues.
+	wakeAt    uint64
+	next      [linkSlots]link // the rest of the list slot k sits on
+	consumers link            // head of this micro-op's consumer list
+	idx       uint16          // pool index, which a link names
+	linked    uint8
+	waiting   uint8
+	nprods    uint8
+	State     UopState
+	Mispred   bool // resolved direction differed from the prediction
 	// wpCounted marks a branch counted in the core's wrong-path tracker;
 	// it is released exactly once, at resolve or squash.
 	wpCounted bool
+}
+
+// link names one link slot of one pooled micro-op, as its pool index
+// times linkSlots plus the slot, plus one; the zero link ends a list.
+type link uint16
+
+const (
+	linkSlots = 4
+	linkStore = linkSlots - 1 // the slot a load waits on its forwarding store through
+	// maxInFlight bounds the DynUop pool (FetchQSize+ROBSize) so that every
+	// link fits a uint16.
+	maxInFlight = (1<<16 - 1) / linkSlots
+)
+
+// linkOf names link slot k of d.
+func linkOf(d *DynUop, k int) link { return link(int(d.idx)*linkSlots + k + 1) }
+
+// slotAt returns the pooled micro-op and the link slot that l names.
+func (f *frontend) slotAt(l link) (*DynUop, int) {
+	return &f.uops[(l-1)/linkSlots], int(l-1) % linkSlots
+}
+
+// producer returns the micro-op link slot k of d waits on.
+func (d *DynUop) producer(k int) *DynUop {
+	if k == linkStore {
+		return d.storeDep
+	}
+	return d.prods[k]
 }
 
 // IsLoad reports whether the micro-op is a load.
