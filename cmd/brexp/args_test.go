@@ -22,7 +22,10 @@ func TestParseArgsRejectsUnreadFlags(t *testing.T) {
 		{"-workload mcf_17 -sweepinstrs 1000 -j 2", []string{"-j is not read", "-sweepinstrs is not read"}},
 		{"-trace-workload mcf_17", []string{"-trace-workload is not read in figure mode, only in -trace mode"}},
 		{"-figure 10 extra", []string{`unexpected argument "extra"`}},
-		{"-resume", []string{"-resume requires -cache-dir"}},
+		// Retired flags fail as undefined instead of running under other
+		// semantics.
+		{"-quick -cache-dir c -resume", []string{"flag provided but not defined: -resume"}},
+		{"-quick -cache-dir c -no-cache", []string{"flag provided but not defined: -no-cache"}},
 	} {
 		_, err := parseArgs(strings.Fields(c.args), io.Discard)
 		if err == nil {
@@ -56,6 +59,9 @@ func TestParseArgsAcceptsDocumentedUsage(t *testing.T) {
 	usages = append(usages,
 		"-figure 15 -quick -j 4",
 		"-figure 15 -quick -j 4 -json",
+		"-quick -j 1",
+		"-quick -j 4 -cache-dir brcache",
+		"-quick -j 2 -cache-dir brcache",
 		"-quick -workload mcf_17 -br mini",
 		"-workload trace:leela_17.btr -warmup 20000 -instrs 60000",
 	)

@@ -9,7 +9,6 @@
 //	brexp -instrs 2000000         # longer runs
 //	brexp -j 8                    # run up to 8 simulations concurrently
 //	brexp -cache-dir .brexp-cache # skip points already computed by earlier invocations
-//	brexp -cache-dir .brexp-cache -resume   # also resume points interrupted mid-run
 //
 // Single-point mode runs one (workload, predictor, BR) combination through
 // the same cache as the figures and prints its metrics, plus the Branch
@@ -90,8 +89,6 @@ var flagModes = map[string]mode{
 	"v":              modeFigures | modeWorkload,
 	"json":           modeFigures | modeWorkload,
 	"cache-dir":      modeFigures | modeWorkload,
-	"no-cache":       modeFigures | modeWorkload,
-	"resume":         modeFigures | modeWorkload,
 	"share-warmup":   modeFigures | modeWorkload,
 	"instrs":         modeFigures | modeWorkload | modeTrace,
 	"warmup":         modeFigures | modeWorkload | modeTrace,
@@ -113,7 +110,6 @@ type cli struct {
 	sweepInstrs            uint64
 	jobs                   int
 	cacheDir               string
-	noCache, resume        bool
 	shareWarmup            bool
 	cpuProfile, memProfile string
 
@@ -139,9 +135,7 @@ func parseArgs(args []string, stderr io.Writer) (*cli, error) {
 	fs.Uint64Var(&c.sweepInstrs, "sweepinstrs", 0, "override Figure 13 sweep budget per run")
 	fs.IntVar(&c.jobs, "j", 0, "max concurrent simulations (0 = GOMAXPROCS); output is identical for any value")
 	fs.StringVar(&c.cacheDir, "cache-dir", "", "persistent run cache directory; completed simulation points are reused across invocations")
-	fs.BoolVar(&c.noCache, "no-cache", false, "recompute every point, ignoring the persistent cache even when -cache-dir is set")
-	fs.BoolVar(&c.resume, "resume", false, "with -cache-dir: persist mid-run snapshots and resume interrupted points on restart")
-	fs.BoolVar(&c.shareWarmup, "share-warmup", false, "warm up once per workload and fork each point from the shared snapshot (WarmupBarrier mode; overridden by -resume)")
+	fs.BoolVar(&c.shareWarmup, "share-warmup", false, "warm up once per workload and fork each point from the shared snapshot (WarmupBarrier mode)")
 	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile to this path")
 	fs.StringVar(&c.memProfile, "memprofile", "", "write a heap profile to this path on exit")
 
@@ -176,8 +170,6 @@ func parseArgs(args []string, stderr io.Writer) (*cli, error) {
 		err = errors.New(strings.Join(unread, "; "))
 	case fs.NArg() > 0:
 		err = fmt.Errorf("unexpected argument %q", fs.Arg(0))
-	case c.resume && c.cacheDir == "":
-		err = errors.New("-resume requires -cache-dir")
 	}
 	if err != nil {
 		fmt.Fprintf(stderr, "brexp: %v\n", err)
@@ -246,8 +238,6 @@ func main() {
 	}
 	opts.Jobs = c.jobs
 	opts.CacheDir = c.cacheDir
-	opts.NoCache = c.noCache
-	opts.Resume = c.resume
 	opts.ShareWarmup = c.shareWarmup
 	if c.verbose {
 		opts.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }

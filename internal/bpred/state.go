@@ -11,19 +11,18 @@ import (
 // the loaders verify sizes against the snapshot so a snapshot from a
 // differently-configured predictor is rejected instead of misdecoded.
 // Checkpoint pools (scratch reused across fetches) are deliberately not
-// part of a snapshot: at a quiesced snapshot point no in-flight branch
-// exists, so the pool contents are semantically empty.
+// part of a snapshot: snapshots are taken with the pipeline drained, when
+// no in-flight branch exists, so the pool contents are semantically empty.
 
 // StateVersion values for the predictor section envelopes.
 const (
-	BimodalStateVersion      = 1
-	GshareStateVersion       = 1
-	CounterTableStateVersion = 1
-	TAGESCLStateVersion      = 1
-	PerceptronStateVersion   = 1
-	TournamentStateVersion   = 1
-	LDBPStateVersion         = 1
-	BullseyeStateVersion     = 1
+	BimodalStateVersion    = 1
+	GshareStateVersion     = 1
+	TAGESCLStateVersion    = 1
+	PerceptronStateVersion = 1
+	TournamentStateVersion = 1
+	LDBPStateVersion       = 1
+	BullseyeStateVersion   = 1
 )
 
 // SaveState implements brstate.Saver.
@@ -60,24 +59,6 @@ func (g *Gshare) LoadState(r *brstate.Reader) error {
 			g.table[i] = ctr2(r.U8())
 		}
 		g.hist = r.U64()
-	}
-	return r.Err()
-}
-
-// SaveState implements brstate.Saver.
-func (c *CounterTable) SaveState(w *brstate.Writer) {
-	w.Len(len(c.table))
-	for _, v := range c.table {
-		w.I8(v)
-	}
-}
-
-// LoadState implements brstate.Loader.
-func (c *CounterTable) LoadState(r *brstate.Reader) error {
-	if r.Len(len(c.table)) {
-		for i := range c.table {
-			c.table[i] = r.I8()
-		}
 	}
 	return r.Err()
 }
@@ -151,8 +132,8 @@ func (t *Tournament) LoadState(r *brstate.Reader) error {
 
 // SaveState implements brstate.Saver: LDBP serializes its provenance and
 // table state, then delegates to the wrapped base predictor. inflight is
-// deliberately excluded: snapshots are only taken at quiesced barriers
-// where every prediction has been released, so it is semantically zero
+// deliberately excluded: snapshots are only taken with the pipeline drained,
+// when every prediction has been released, so it is semantically zero
 // (mirroring the pool-exclusion rule above).
 func (l *LDBP) SaveState(w *brstate.Writer) {
 	w.Len(len(l.rtt))

@@ -1,8 +1,7 @@
 // Fuzz coverage for the codec's untrusted-input posture: every snapshot on
-// disk (cache entries, .part barrier files, warmup blobs) flows through
-// Reader, so arbitrary mutations of those bytes must surface as a sticky
-// error or a NewReader rejection — never a panic or an input-independent
-// huge allocation. The crafted-blob tests below pin the two crashers found
+// disk (cache entries, warmup blobs) flows through Reader, so arbitrary
+// mutations of those bytes must surface as a sticky error or a NewReader
+// rejection — never a panic or an input-independent huge allocation. The crafted-blob tests below pin the two crashers found
 // while developing FuzzReader (see take's negative-length guard and
 // LenBounded).
 package brstate

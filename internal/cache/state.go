@@ -7,7 +7,7 @@ import "repro/internal/brstate"
 // length-checked; mutable state — line arrays, port/bank reservations, MSHR
 // completions, prefetcher streams, per-level counters — is serialized.
 // Reservation fields hold absolute cycles, which stay valid across a
-// save/restore because a resumed simulation continues from the saved clock
+// save/restore because a restored simulation continues from the saved clock
 // rather than restarting at cycle zero.
 
 // StateVersion values for the cache-package section envelopes.

@@ -72,8 +72,8 @@ type Core struct {
 	haltRetired     bool
 
 	// fetchDisabled suspends fetch while Drain empties the pipeline ahead
-	// of a snapshot barrier; snapshots are only taken at quiesced barriers
-	// where it has been reset, so the codec never needs it.
+	// of a snapshot; snapshots are only taken after a drain has reset it,
+	// so the codec never needs it.
 	fetchDisabled bool //brlint:allow snapshot-coverage
 
 	// Tracer wiring is re-attached by the machine builder, not the codec.
@@ -300,12 +300,12 @@ func (c *Core) skipDeadCycles() {
 }
 
 // Drain suspends fetch and cycles the machine until every in-flight
-// micro-op has retired or been squashed: the quiesce barrier ahead of a
-// snapshot. After a successful drain the ROB, reservation stations, fetch
-// queue, issued list, LSQ, store overlay and wrong-path tracker are all
-// empty, every DynUop is back in the pool, the rename table is clear, and
-// so is the wakeup state: the ready and timed lists are empty and no
-// micro-op heads a consumer list. Fetch resumes on the next Cycle.
+// micro-op has retired or been squashed: the barrier ahead of a snapshot.
+// After a successful drain the ROB, reservation stations, fetch queue,
+// issued list, LSQ, store overlay and wrong-path tracker are all empty,
+// every DynUop is back in the pool, the rename table is clear, and so is
+// the wakeup state: the ready and timed lists are empty and no micro-op
+// heads a consumer list. Fetch resumes on the next Cycle.
 func (c *Core) Drain() error {
 	c.fetchDisabled = true
 	defer func() { c.fetchDisabled = false }()

@@ -36,7 +36,7 @@ func TestDrainRefillsPoolAfterRecoveries(t *testing.T) {
 }
 
 // TestDrainReportsLeakedDynUop: a DynUop taken from the pool and never
-// returned is residue the quiesce barrier must refuse to snapshot over.
+// returned is residue the drain must refuse to snapshot over.
 func TestDrainReportsLeakedDynUop(t *testing.T) {
 	p, _, _ := sumBelowProgram(500, 5)
 	c := New(DefaultConfig(), p, bpred.NewTAGESCL64(), testHierarchy(), nil)

@@ -15,7 +15,7 @@ const StateVersion = 1
 // clock, sequence numbers, fetch-steering state, the front-end architectural
 // registers and the per-branch statistics. The committed memory image, the
 // branch predictor and the cache hierarchy are owned sections of the
-// whole-simulation snapshot, saved by their own components.
+// warmup snapshot, saved by their own components.
 func (c *Core) SaveState(w *brstate.Writer) {
 	if len(c.rob) != 0 || len(c.fetchQ) != 0 || c.rsCount != 0 {
 		panic("core: SaveState requires a drained pipeline")

@@ -9,8 +9,8 @@ import (
 )
 
 // drainedCore runs the data-dependent sum-below workload for a partial
-// budget and drains the pipeline, leaving the core in the state the
-// whole-simulation snapshot captures at a barrier.
+// budget and drains the pipeline, leaving the core in the state a warmup
+// snapshot captures at the warmup/measure boundary.
 func drainedCore(t *testing.T) *Core {
 	t.Helper()
 	p, _, _ := sumBelowProgram(4096, 42)

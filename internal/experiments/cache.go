@@ -2,10 +2,8 @@
 // simulation point is serialized to disk (content-addressed by run key plus
 // codec versions), and later suite invocations load it back instead of
 // simulating — a warm suite executes zero simulations and renders
-// byte-identical tables. With Options.Resume additionally set, in-flight
-// runs write their stride barrier snapshots to a side file, so a suite
-// killed mid-run resumes each interrupted point from its last barrier
-// instead of restarting it (see internal/sim's Resume and DESIGN.md §10).
+// byte-identical tables, and a suite killed mid-run restarts by recomputing
+// only the points it had not finished (DESIGN.md §10).
 package experiments
 
 import (
@@ -27,45 +25,14 @@ import (
 // different filenames and are simply recomputed.
 const resultStateVersion = 1
 
-// cacheEnabled reports whether the persistent cache participates in runs.
-func (s *Suite) cacheEnabled() bool {
-	return s.opts.CacheDir != "" && !s.opts.NoCache
-}
-
-// resumeActive reports whether runs should take stride barriers and persist
-// mid-run snapshots. Barriers are part of the configured run (they perturb
-// timing slightly), so this flag is folded into the cache address: entries
-// computed with and without Resume never alias.
-func (s *Suite) resumeActive() bool {
-	return s.opts.Resume && s.cacheEnabled()
-}
-
-// shareActive reports whether warmup-snapshot sharing applies to this
-// suite's runs. Resume takes precedence: its stride-barrier schedule owns
-// the snapshot machinery (see Options.ShareWarmup).
-func (s *Suite) shareActive() bool {
-	return s.opts.ShareWarmup && !s.resumeActive()
-}
-
-// resumeStride picks the barrier stride for resumable runs: four snapshots
-// across the measured budget, matching between an interrupted run and its
-// uninterrupted reference because it depends only on the budget.
-func resumeStride(instrs uint64) uint64 {
-	if stride := instrs / 4; stride > 0 {
-		return stride
-	}
-	return 1
-}
-
 // cacheID content-addresses one run: the suite key plus everything that
 // changes the bytes a run produces — the envelope format, the Result codec
-// version, the barrier stride (barriers are observable in the result), and
-// WarmupBarrier mode (whose boundary barrier and deferred BR attach are
-// observable too). The mode suffix is appended only when the mode is on, so
-// every pre-existing cache entry keeps its address.
+// version and WarmupBarrier mode (whose boundary drain and deferred BR
+// attach are observable in the result). The mode suffix is appended only
+// when the mode is on.
 func (s *Suite) cacheID(key string, cfg sim.Config) string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|fmt%d|res%d|stride%d", key, brstate.FormatVersion, resultStateVersion, cfg.SnapshotStride)
+	fmt.Fprintf(h, "%s|fmt%d|res%d", key, brstate.FormatVersion, resultStateVersion)
 	if cfg.WarmupBarrier {
 		fmt.Fprintf(h, "|warmbar1")
 	}
@@ -77,17 +44,11 @@ func (s *Suite) cachePath(key string, cfg sim.Config) string {
 	return filepath.Join(s.opts.CacheDir, "run-"+s.cacheID(key, cfg)+".brres")
 }
 
-// partPath is the in-flight barrier-snapshot file for a run key; it exists
-// only between a run's first barrier and its completion.
-func (s *Suite) partPath(key string, cfg sim.Config) string {
-	return filepath.Join(s.opts.CacheDir, "run-"+s.cacheID(key, cfg)+".part")
-}
-
 // cacheLoad returns the cached result for key, or ok=false on any miss —
 // including unreadable, truncated, or version-skewed entries, which are
 // treated as absent and recomputed (the store below then overwrites them).
 func (s *Suite) cacheLoad(key string, cfg sim.Config) (*sim.Result, bool) {
-	if !s.cacheEnabled() {
+	if s.opts.CacheDir == "" {
 		return nil, false
 	}
 	blob, err := os.ReadFile(s.cachePath(key, cfg))
@@ -98,8 +59,9 @@ func (s *Suite) cacheLoad(key string, cfg sim.Config) (*sim.Result, bool) {
 }
 
 // decodeCacheEntry decodes one on-disk cache blob, verifying it belongs to
-// key. Any malformed, truncated, or key-mismatched blob is a miss (ok=false),
-// never a panic — FuzzLoadResult drives this path with mutated entries.
+// key. Any malformed, truncated, or key-mismatched blob, or one with bytes
+// after its last section, is a miss (ok=false), never a panic —
+// FuzzLoadResult drives this path with mutated entries.
 func decodeCacheEntry(key string, blob []byte) (*sim.Result, bool) {
 	r, err := brstate.NewReader(blob)
 	if err != nil {
@@ -116,7 +78,7 @@ func decodeCacheEntry(key string, blob []byte) (*sim.Result, bool) {
 	r.Section("result", resultStateVersion, func(r *brstate.Reader) {
 		res = loadResult(r)
 	})
-	if r.Err() != nil {
+	if r.Err() != nil || r.Remaining() != 0 {
 		return nil, false
 	}
 	return res, true
@@ -138,39 +100,18 @@ func encodeCacheEntry(key string, res *sim.Result) []byte {
 // rename), so a concurrent or interrupted writer can never leave a partial
 // entry behind a valid filename.
 func (s *Suite) cacheStore(key string, cfg sim.Config, res *sim.Result) error {
-	if !s.cacheEnabled() {
+	if s.opts.CacheDir == "" {
 		return nil
 	}
 	return atomicWrite(s.cachePath(key, cfg), encodeCacheEntry(key, res))
 }
 
-// execute runs one simulation point, resuming from a persisted barrier
-// snapshot when one is available. Exactly one noteExecuted per call: a
-// resumed continuation is still an executed simulation; only a cache hit
-// (which never reaches execute) counts as zero work.
-func (s *Suite) execute(w *workloads.Workload, key string, cfg sim.Config) (*sim.Result, error) {
+// execute runs one simulation point from reset. Exactly one noteExecuted
+// per call: only a cache hit (which never reaches execute) counts as zero
+// work.
+func (s *Suite) execute(w *workloads.Workload, cfg sim.Config) (*sim.Result, error) {
 	s.runner.noteExecuted()
-	if !s.resumeActive() {
-		return sim.Run(w, cfg)
-	}
-	part := s.partPath(key, cfg)
-	cfg.SnapshotFn = func(_ uint64, blob []byte) error {
-		return atomicWrite(part, blob)
-	}
-	if blob, err := os.ReadFile(part); err == nil {
-		if res, rerr := sim.Resume(w, cfg, blob); rerr == nil {
-			os.Remove(part)
-			return res, nil
-		}
-		// A stale or corrupt barrier snapshot (config drift, partial write
-		// predating atomicWrite, version skew) is not an error: fall back to
-		// running the point from reset.
-	}
-	res, err := sim.Run(w, cfg)
-	if err == nil {
-		os.Remove(part)
-	}
-	return res, err
+	return sim.Run(w, cfg)
 }
 
 // executeShared runs one point by forking the workload's shared warmup
@@ -179,7 +120,7 @@ func (s *Suite) execute(w *workloads.Workload, key string, cfg sim.Config) (*sim
 // singleflight — and each point then restores the blob and simulates only
 // its measure phase. Exactly one noteExecuted per point, as in execute; the
 // shared warmup is bookkeeping-free.
-func (s *Suite) executeShared(w *workloads.Workload, key string, cfg sim.Config) (*sim.Result, error) {
+func (s *Suite) executeShared(w *workloads.Workload, cfg sim.Config) (*sim.Result, error) {
 	warmKey := w.Name + "|" + sim.WarmupKey(cfg)
 	blob, err := s.runner.warmup(warmKey, func() ([]byte, error) {
 		return sim.WarmupSnapshot(w, cfg)

@@ -4,12 +4,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/runahead"
-	"repro/internal/sim"
-	"repro/internal/workloads"
 )
 
 // cacheTestOptions is a single-workload budget small enough that the
@@ -56,31 +53,6 @@ func TestWarmCacheExecutesNothing(t *testing.T) {
 	}
 	if !reflect.DeepEqual(warmLines, coldLines) {
 		t.Errorf("warm progress stream differs from cold:\ncold: %v\nwarm: %v", coldLines, warmLines)
-	}
-}
-
-// TestNoCacheBypassesDisk pins that NoCache forces recomputation even over a
-// populated cache directory, and writes nothing new into it.
-func TestNoCacheBypassesDisk(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow")
-	}
-	dir := t.TempDir()
-	o := cacheTestOptions(dir)
-	cold := NewSuite(o)
-	if _, err := cold.run("mcf_17", vTage64(), o.Instrs); err != nil {
-		t.Fatal(err)
-	}
-	if n := cold.RunsExecuted(); n != 1 {
-		t.Fatalf("cold suite executed %d, want 1", n)
-	}
-	o.NoCache = true
-	bypass := NewSuite(o)
-	if _, err := bypass.run("mcf_17", vTage64(), o.Instrs); err != nil {
-		t.Fatal(err)
-	}
-	if n := bypass.RunsExecuted(); n != 1 {
-		t.Fatalf("NoCache suite executed %d simulations, want 1 (cache must be bypassed)", n)
 	}
 }
 
@@ -151,100 +123,5 @@ func TestResultCodecRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("%s: decoded result differs:\nwant %+v\ngot  %+v", v.key, ref, got)
 		}
-	}
-}
-
-// TestResumeCompletesInterruptedRun emulates a suite killed mid-simulation:
-// the point's barrier snapshot is left in the cache directory exactly as
-// the interrupted run would have written it, and the restarted suite must
-// resume it to a result deep-equal to an uninterrupted suite's.
-func TestResumeCompletesInterruptedRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow")
-	}
-	refOpts := cacheTestOptions(t.TempDir())
-	refOpts.Resume = true
-	refSuite := NewSuite(refOpts)
-	ref, err := refSuite.run("mcf_17", vTage64(), refOpts.Instrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	o := cacheTestOptions(t.TempDir())
-	o.Resume = true
-	s := NewSuite(o)
-	key := "mcf_17/tage64/40000"
-	cfg := s.simConfig(vTage64(), o.Instrs)
-	if cfg.SnapshotStride == 0 {
-		t.Fatal("Resume suite configured no snapshot stride")
-	}
-	// Reproduce the interrupted run's side file: the same configuration with
-	// a capturing sink, taking a mid-run barrier blob.
-	var blobs [][]byte
-	capCfg := cfg
-	capCfg.SnapshotFn = func(_ uint64, blob []byte) error {
-		cp := make([]byte, len(blob))
-		copy(cp, blob)
-		blobs = append(blobs, cp)
-		return nil
-	}
-	w, err := workloads.ByName("mcf_17", o.Scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.Run(w, capCfg); err != nil {
-		t.Fatal(err)
-	}
-	if len(blobs) < 2 {
-		t.Fatalf("expected multiple barrier snapshots, got %d", len(blobs))
-	}
-	part := s.partPath(key, cfg)
-	if err := atomicWrite(part, blobs[1]); err != nil {
-		t.Fatal(err)
-	}
-
-	res, err := s.run("mcf_17", vTage64(), o.Instrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := s.RunsExecuted(); n != 1 {
-		t.Fatalf("resumed suite executed %d, want 1", n)
-	}
-	if !reflect.DeepEqual(res, ref) {
-		t.Fatalf("resumed result differs from uninterrupted run:\nwant %+v\ngot  %+v", ref, res)
-	}
-	if _, err := os.Stat(part); !os.IsNotExist(err) {
-		t.Errorf("completed run left its .part snapshot behind (stat err: %v)", err)
-	}
-}
-
-// TestResumeFallsBackOnBadPartFile pins that garbage in a .part file is
-// ignored: the point runs from reset and still matches the reference.
-func TestResumeFallsBackOnBadPartFile(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow")
-	}
-	refOpts := cacheTestOptions(t.TempDir())
-	refOpts.Resume = true
-	refSuite := NewSuite(refOpts)
-	ref, err := refSuite.run("mcf_17", vTage64(), refOpts.Instrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	o := cacheTestOptions(t.TempDir())
-	o.Resume = true
-	s := NewSuite(o)
-	cfg := s.simConfig(vTage64(), o.Instrs)
-	part := s.partPath("mcf_17/tage64/40000", cfg)
-	if err := atomicWrite(part, []byte(strings.Repeat("junk", 64))); err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.run("mcf_17", vTage64(), o.Instrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res, ref) {
-		t.Fatal("fallback-from-garbage result differs from reference")
 	}
 }

@@ -48,18 +48,9 @@ type Options struct {
 	// completed simulation point is written to this directory
 	// (content-addressed by run key and codec version) and reused by later
 	// suite invocations, which then execute zero simulations and render
-	// byte-identical tables. See cache.go and DESIGN.md §10.
+	// byte-identical tables. Empty turns off both cache reads and writes.
+	// See cache.go and DESIGN.md §10.
 	CacheDir string
-	// NoCache disables the persistent cache (reads and writes) even when
-	// CacheDir is set — every point is recomputed from reset.
-	NoCache bool
-	// Resume, with CacheDir set, makes runs crash-resumable: each in-flight
-	// simulation persists stride barrier snapshots beside the cache, and a
-	// restarted suite resumes interrupted points from their last barrier.
-	// Barriers are part of the configured run, so resumable results live
-	// under their own cache address and an interrupted-then-resumed suite
-	// matches an uninterrupted one exactly.
-	Resume bool
 	// Interrupt, when non-nil, is polled at the start of every simulation
 	// point; a non-nil return aborts that point (and therefore the figure
 	// or run requesting it) with the returned error before any work —
@@ -81,9 +72,7 @@ type Options struct {
 	// (the boundary barrier and the deferred Branch Runahead attach are part
 	// of the semantics), so they live under their own cache address; they
 	// are byte-identical across Jobs values and identical to a
-	// straight-through WarmupBarrier run of each point. Resume takes
-	// precedence when both are set: its stride-barrier schedule owns the
-	// snapshot machinery.
+	// straight-through WarmupBarrier run of each point.
 	ShareWarmup bool
 }
 
@@ -225,10 +214,10 @@ func (s *Suite) run(wl string, v variant, instrs uint64) (*sim.Result, error) {
 			return nil, err
 		}
 		var res *sim.Result
-		if s.shareActive() && cfg.Warmup > 0 {
-			res, err = s.executeShared(w, key, cfg)
+		if cfg.WarmupBarrier && cfg.Warmup > 0 {
+			res, err = s.executeShared(w, cfg)
 		} else {
-			res, err = s.execute(w, key, cfg)
+			res, err = s.execute(w, cfg)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s under %s: %w", wl, v.key, err)
@@ -335,23 +324,16 @@ func (s *Suite) RunNamed(wl, predictor, brName string) (*sim.Result, error) {
 	return s.run(wl, v, s.opts.Instrs)
 }
 
-// simConfig builds the simulator configuration for one point. Resumable
-// suites run with stride barriers so interrupted points can restart from
-// their last persisted snapshot.
+// simConfig builds the simulator configuration for one point.
 func (s *Suite) simConfig(v variant, instrs uint64) sim.Config {
-	cfg := sim.Config{
-		Core:      core.DefaultConfig(),
-		Predictor: v.pred,
-		BR:        v.br,
-		Warmup:    s.opts.Warmup,
-		MaxInstrs: instrs,
+	return sim.Config{
+		Core:          core.DefaultConfig(),
+		Predictor:     v.pred,
+		BR:            v.br,
+		Warmup:        s.opts.Warmup,
+		MaxInstrs:     instrs,
+		WarmupBarrier: s.opts.ShareWarmup,
 	}
-	if s.resumeActive() {
-		cfg.SnapshotStride = resumeStride(instrs)
-	} else if s.opts.ShareWarmup {
-		cfg.WarmupBarrier = true
-	}
-	return cfg
 }
 
 func runLine(wl, vkey string, res *sim.Result) string {

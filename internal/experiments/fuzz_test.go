@@ -40,7 +40,8 @@ func fullResult() *sim.Result {
 const fuzzKey = "mcf_17/mini/100000"
 
 // TestCacheEntryRoundTrip pins the seed corpus' validity: encode → decode
-// is identity, and a key mismatch is a miss.
+// is identity, and a key mismatch or bytes after the last section are a
+// miss.
 func TestCacheEntryRoundTrip(t *testing.T) {
 	want := fullResult()
 	blob := encodeCacheEntry(fuzzKey, want)
@@ -53,6 +54,11 @@ func TestCacheEntryRoundTrip(t *testing.T) {
 	}
 	if _, ok := decodeCacheEntry("other/key/1", blob); ok {
 		t.Error("entry decoded under the wrong key")
+	}
+	trailer := len(blob) - 4
+	padded := append(append(append([]byte(nil), blob[:trailer]...), make([]byte, 7)...), blob[trailer:]...)
+	if _, ok := decodeCacheEntry(fuzzKey, padded); ok {
+		t.Error("entry with bytes after its last section decoded")
 	}
 }
 

@@ -123,7 +123,7 @@ type DCE struct {
 	cfg    *Config
 	dcache *cache.Cache
 	// dtlb is shared with the core (may be nil); wiring, not state.
-	dtlb     *cache.TLB //brlint:allow snapshot-coverage
+	dtlb     *cache.TLB
 	mem      *emu.Memory
 	cc       *ChainCache
 	pqs      *PQSet
@@ -146,25 +146,24 @@ type DCE struct {
 	// deferredSpare is the detached backing retryDeferred swaps with
 	// deferred each Tick, so the retry loop reuses two arrays forever
 	// instead of reallocating per cycle. Pure scratch between Ticks.
-	deferredSpare []deferredInit //brlint:allow snapshot-coverage
+	deferredSpare []deferredInit
 	// spareIssue/spareRS are per-Tick scratch (Core-Only: the cycle's
 	// borrowed issue slots), rewritten before each use.
-	spareIssue int //brlint:allow snapshot-coverage
-	spareRS    int //brlint:allow snapshot-coverage
+	spareIssue int
+	spareRS    int
 
 	// The instance pool: free holds released instances, live counts those
 	// handed out and not yet released, and releaseQ is drop's worklist.
-	// LoadState starts the pool over.
 	free     []*Instance
 	live     int
-	releaseQ []*Instance //brlint:allow snapshot-coverage
+	releaseQ []*Instance
 
 	// chainBuf collects chain-cache lookups. Initiation nests (a launch
 	// fires its early triggers, which launch more), so each user appends
 	// at the end, iterates its own sub-slice and truncates back. famBuf is
 	// Sync's sorted family list. Both are scratch.
-	chainBuf []*Chain //brlint:allow snapshot-coverage
-	famBuf   []uint64 //brlint:allow snapshot-coverage
+	chainBuf []*Chain
+	famBuf   []uint64
 
 	// Scan skips: a Tick phase runs only when its flag says it can change
 	// something. runDirty: an instance completed or was killed since the
@@ -172,20 +171,18 @@ type DCE struct {
 	// local became ready, an instance was killed or a pending live-in was
 	// created (a pass that resolves something re-arms it). nextDone: the
 	// earliest doneAt still in flight. awake: some instance may issue.
-	// All are derived from the instances; quiesce and LoadState clear them.
+	// All are derived from the instances.
 	runDirty     bool
 	pendingDirty bool
 	nextDone     uint64
 	awake        bool
 
 	C *stats.Counters
-	// Dense handles for the engine's per-event counters; the values live
-	// in C, which the codec serializes.
-	ctr dceCounters //brlint:allow snapshot-coverage
+	// Dense handles for the engine's per-event counters; the values live in C.
+	ctr dceCounters
 
-	// tr is the structured event tracer (nil when tracing is off);
-	// wiring is re-attached by the machine builder, not the codec.
-	tr *trace.Tracer //brlint:allow snapshot-coverage
+	// tr is the structured event tracer (nil when tracing is off).
+	tr *trace.Tracer
 }
 
 // dceCounters are pre-registered handles; uopsIssued and loadsIssued fire

@@ -49,7 +49,6 @@ type HBT struct {
 	// agScratch backs AGSet's return slice. The AG list is one machine
 	// word, so 64 entries always suffice; callers consume the slice
 	// before the next AGSet call. Scratch, not architectural state.
-	//brlint:allow snapshot-coverage
 	agScratch [64]uint64
 }
 

@@ -1,6 +1,7 @@
 package runahead
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -73,6 +74,56 @@ func TestQuiesceReportsLeakedInstance(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "still holds") || dce.live == 0 {
 		t.Fatalf("quiesce with a leaked instance: err = %v, live = %d, want a live-instance error", err, dce.live)
 	}
+}
+
+// Quiesce discards all speculative in-flight engine state: live chain
+// instances are killed, deferred initiations dropped and every assigned
+// prediction queue is reset and deactivated (it would reactivate at the
+// next synchronization, exactly as after a divergence). Every chain instance
+// must then be back in the pool; one that is not is an error, as a non-full
+// micro-op pool is for core.Drain. The pool tests use it as their leak
+// check.
+func (s *System) Quiesce(now uint64) error {
+	return s.dce.quiesce(now)
+}
+
+func (e *DCE) quiesce(now uint64) error {
+	for _, in := range e.all {
+		if !in.done() {
+			e.kill(now, in)
+		}
+	}
+	for len(e.all) > 0 {
+		e.popAll()
+	}
+	for _, in := range e.run {
+		e.drop(in)
+	}
+	clear(e.run)
+	e.run = e.run[:0]
+	for _, d := range e.deferred {
+		e.drop(d.parent)
+	}
+	clear(e.deferred)
+	e.deferred = e.deferred[:0]
+	e.activeRun = 0
+	e.resetScans()
+	for _, q := range e.pqs.queues {
+		if q.assigned {
+			q.reset(now)
+			q.active = false
+		}
+	}
+	if e.live != 0 {
+		return fmt.Errorf("runahead: quiesced DCE still holds %d chain instances", e.live)
+	}
+	return nil
+}
+
+// resetScans clears the scan-skip flags of an engine with no instances.
+func (e *DCE) resetScans() {
+	e.runDirty, e.pendingDirty, e.awake = false, false, false
+	e.nextDone = 0
 }
 
 // checkPool asserts, for the end of one core cycle:

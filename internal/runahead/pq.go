@@ -61,11 +61,10 @@ type PQSet struct {
 	// called once per conditional-branch fetch, so pooling keeps that
 	// path allocation-free in steady state. A free list is never part of
 	// the architectural state.
-	cpPool []*pqCheckpoint //brlint:allow snapshot-coverage
+	cpPool []*pqCheckpoint
 
-	// tr is the structured event tracer (nil when tracing is off);
-	// wiring is re-attached by the machine builder, not the codec.
-	tr *trace.Tracer //brlint:allow snapshot-coverage
+	// tr is the structured event tracer (nil when tracing is off).
+	tr *trace.Tracer
 }
 
 // NewPQSet builds the queue set.

@@ -44,10 +44,6 @@ type Config struct {
 	// MaxJobs bounds how many jobs execute concurrently; <= 0 means 1.
 	// Submissions beyond it queue in FIFO-by-goroutine order.
 	MaxJobs int
-	// Resume persists mid-run stride snapshots (requires CacheDir), so
-	// jobs interrupted by a crash resume from their last barrier when
-	// resubmitted to a restarted server.
-	Resume bool
 	// Quick selects the reduced QuickOptions budgets and the small
 	// workload scale as request defaults (tests and demos).
 	Quick bool
@@ -57,13 +53,10 @@ type Config struct {
 	TraceDir string
 }
 
-// Validate rejects nonsensical configurations.
-func (c Config) Validate() error {
-	if c.Resume && c.CacheDir == "" {
-		return fmt.Errorf("server: Resume requires CacheDir")
-	}
-	return nil
-}
+// Validate checks the configuration. Every field's zero value is usable,
+// so it accepts every configuration; New calls it as every constructor
+// calls its Config's Validate.
+func (c Config) Validate() error { return nil }
 
 // Server is the HTTP service. Create one with New and serve its Handler.
 type Server struct {
@@ -170,7 +163,6 @@ func (s *Server) suiteOptions(j *job) experiments.Options {
 		Workloads: j.req.Workloads,
 		Jobs:      s.cfg.Jobs,
 		CacheDir:  s.cfg.CacheDir,
-		Resume:    s.cfg.Resume,
 		Interrupt: j.interrupt,
 		Notify:    j.notify,
 	}

@@ -489,15 +489,15 @@ func TestServeUnknownJob(t *testing.T) {
 	}
 }
 
-// TestConfigValidate mirrors the repo's Validate() rejection convention.
+// TestConfigValidate pins that every field's zero value is usable: Validate
+// and New accept the zero config as well as a fully set one.
 func TestConfigValidate(t *testing.T) {
-	if err := (Config{Resume: true}).Validate(); err == nil {
-		t.Error("Resume without CacheDir validated")
-	}
-	if _, err := New(Config{Resume: true}); err == nil {
-		t.Error("New accepted a config its Validate rejects")
-	}
-	if err := (Config{CacheDir: "x", Resume: true, MaxJobs: 3}).Validate(); err != nil {
-		t.Errorf("valid config rejected: %v", err)
+	for _, cfg := range []Config{{}, {CacheDir: t.TempDir(), Jobs: 2, MaxJobs: 3, Quick: true}} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("Validate(%+v): %v", cfg, err)
+		}
+		if _, err := New(cfg); err != nil {
+			t.Errorf("New(%+v): %v", cfg, err)
+		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/bpred"
-	"repro/internal/brstate"
 	"repro/internal/core"
 	"repro/internal/runahead"
 	"repro/internal/workloads"
@@ -15,8 +14,8 @@ import (
 // auditPredictor wraps a real predictor and audits the lifecycle contract
 // the core owes it: every Info is committed at most once and released
 // exactly once, every Snapshot is released exactly once, restores only
-// target live snapshots, and at every quiesce barrier (drained pipeline)
-// nothing is outstanding. Identity checks apply to pointer-typed objects
+// target live snapshots, and once the pipeline is drained nothing is
+// outstanding. Identity checks apply to pointer-typed objects
 // (the pooled ones, where a double release corrupts the free list);
 // value-typed infos are audited by count.
 type auditPredictor struct {
@@ -131,34 +130,27 @@ func (a *auditPredictor) ObserveRetire(pc uint64, value uint64) {
 	}
 }
 
-// SaveState/LoadState keep the snapshot-barrier paths working under audit.
-func (a *auditPredictor) SaveState(w *brstate.Writer) {
-	a.inner.(brstate.Saver).SaveState(w)
-}
-
-func (a *auditPredictor) LoadState(r *brstate.Reader) error {
-	return a.inner.(brstate.Loader).LoadState(r)
-}
-
-// atBarrier asserts the drained-pipeline invariant: nothing outstanding.
-func (a *auditPredictor) atBarrier() {
+// drained asserts the drained-pipeline invariant: nothing outstanding.
+func (a *auditPredictor) drained(retired uint64) {
 	if a.outInfos != 0 {
-		a.fail("%d infos outstanding at a quiesce barrier", a.outInfos)
+		a.fail("%d infos outstanding after a drain at %d retired", a.outInfos, retired)
 	}
 	if a.outSnaps != 0 {
-		a.fail("%d snapshots outstanding at a quiesce barrier", a.outSnaps)
+		a.fail("%d snapshots outstanding after a drain at %d retired", a.outSnaps, retired)
 	}
 }
 
 // TestReleaseAuditQuickSuite runs the quick-suite workloads under every
 // frontier predictor, with and without Branch Runahead (whose flushes and
 // squash recoveries are the release paths under audit), and checks the
-// Info/Snapshot lifecycle contract. Snapshot-stride barriers additionally
-// verify that a drained pipeline holds nothing back.
+// Info/Snapshot lifecycle contract. A core drain every auditStride retired
+// instructions additionally verifies that a drained pipeline holds nothing
+// back.
 func TestReleaseAuditQuickSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run audit sweep")
 	}
+	const auditStride = 20_000
 	preds := []struct {
 		name string
 		kind PredictorKind
@@ -187,13 +179,6 @@ func TestReleaseAuditQuickSuite(t *testing.T) {
 					Predictor: p.kind,
 					Warmup:    20_000,
 					MaxInstrs: 60_000,
-					// Mid-run barriers: each drains the pipeline and
-					// checks the zero-outstanding invariant.
-					SnapshotStride: 20_000,
-					SnapshotFn: func(retired uint64, blob []byte) error {
-						current.atBarrier()
-						return nil
-					},
 				}
 				if withBR {
 					name += "+br"
@@ -204,8 +189,19 @@ func TestReleaseAuditQuickSuite(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := Run(w, cfg); err != nil {
-					t.Fatalf("%s: %v", name, err)
+				m, err := newMachine(w, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				end := cfg.Warmup + cfg.MaxInstrs
+				for target := uint64(auditStride); target <= end && !m.c.Halted(); target += auditStride {
+					if _, err := m.c.Run(target); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if err := m.c.Drain(); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					current.drained(m.c.Ctr.Retired.Get())
 				}
 				for _, e := range current.errs {
 					t.Errorf("%s: %s", name, e)

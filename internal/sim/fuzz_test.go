@@ -81,4 +81,11 @@ func TestRunFromWarmupRejectsCorruptBlob(t *testing.T) {
 	if _, err := RunFromWarmup(w, cfg, mangled); err == nil {
 		t.Error("blob with corrupt section name restored without error")
 	}
+	// Bytes between the last section and the trailer: every section still
+	// decodes, so only the unread remainder gives the corruption away.
+	trailer := len(blob) - 4
+	padded := append(append(append([]byte(nil), blob[:trailer]...), make([]byte, 7)...), blob[trailer:]...)
+	if _, err := RunFromWarmup(w, cfg, padded); err == nil {
+		t.Error("blob with bytes after its last section restored without error")
+	}
 }

@@ -15,6 +15,15 @@ func smallCfg(br *runahead.Config) Config {
 	return cfg
 }
 
+func mustWorkload(t *testing.T, name string) *workloads.Workload {
+	t.Helper()
+	w, err := workloads.ByName(name, workloads.SmallScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
 func TestBaselineRunsAllWorkloads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")

@@ -6,6 +6,10 @@ import (
 	"strings"
 
 	"repro/internal/brstate"
+	"repro/internal/cache"
+	"repro/internal/core"
+	"repro/internal/dram"
+	"repro/internal/emu"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -13,7 +17,9 @@ import (
 // Warmup-snapshot forking. A warmup blob captures the machine at the
 // warmup/measure boundary of a WarmupBarrier-mode run — before the Branch
 // Runahead system attaches — so one warmup serves every measure config that
-// agrees on the warmup partition of Config. Two guards keep sharing honest:
+// agrees on the warmup partition of Config. The blob is a brstate envelope:
+// a warmmeta section, then one section per simulated component, each
+// versioned by its owner. Two guards keep sharing honest:
 // statically, brlint's config-partition rule proves warmup-phase code never
 // reads a `brphase:"measure"` field; dynamically, the blob carries the
 // WarmupKey of the config that produced it and RunFromWarmup refuses a blob
@@ -137,6 +143,9 @@ func restoreWarmup(w *workloads.Workload, cfg Config, blob []byte) (*machine, er
 	}
 	l := &sectionLoader{r: r}
 	m.loadComponentSections(l, loader)
+	if l.err == nil && r.Remaining() != 0 {
+		l.err = fmt.Errorf("%d bytes after the last section", r.Remaining())
+	}
 	if l.err != nil {
 		return nil, fmt.Errorf("sim %s: warmup blob: %w", w.Name, l.err)
 	}
@@ -158,4 +167,65 @@ func RunFromWarmup(w *workloads.Workload, cfg Config, blob []byte) (*Result, err
 	m.attachBR()
 	boundary := snapshot(m.c, m.sys, m.hier)
 	return m.measure(boundary)
+}
+
+// saveComponentSections writes one section per simulated component of the
+// drained machine: memory, core, predictor, caches, prefetcher, TLB and DRAM.
+func (m *machine) saveComponentSections(w *brstate.Writer, saver brstate.Saver) {
+	w.Section("mem", emu.MemoryStateVersion, m.c.Memory().SaveState)
+	w.Section("core", core.StateVersion, m.c.SaveState)
+	w.Section("bpred", predictors[m.cfg.Predictor].version, saver.SaveState)
+	w.Section("l1i", cache.CacheStateVersion, m.hier.ICache.SaveState)
+	w.Section("l1d", cache.CacheStateVersion, m.hier.DCache.SaveState)
+	w.Section("l2", cache.CacheStateVersion, m.hier.L2.SaveState)
+	if pf := m.hier.DCache.Prefetcher(); pf != nil {
+		w.Section("pf", cache.PrefetcherStateVersion, pf.SaveState)
+	}
+	if m.hier.DTLB != nil {
+		w.Section("dtlb", cache.TLBStateVersion, m.hier.DTLB.SaveState)
+	}
+	if d, ok := m.hier.Mem.(*dram.DRAM); ok {
+		w.Section("dram", dram.StateVersion, d.SaveState)
+	}
+}
+
+// sectionLoader threads a sticky error through sequential section loads.
+type sectionLoader struct {
+	r   *brstate.Reader
+	err error
+}
+
+func (l *sectionLoader) load(name string, version uint32, ld func(*brstate.Reader) error) {
+	if l.err != nil {
+		return
+	}
+	var inner error
+	l.r.Section(name, version, func(r *brstate.Reader) { inner = ld(r) })
+	if secErr := l.r.Err(); secErr != nil {
+		l.err = secErr
+	} else {
+		l.err = inner
+	}
+	if l.err != nil {
+		l.err = fmt.Errorf("sim: snapshot section %q: %w", name, l.err)
+	}
+}
+
+// loadComponentSections restores the sections saveComponentSections wrote.
+func (m *machine) loadComponentSections(l *sectionLoader, loader brstate.Loader) {
+	l.load("mem", emu.MemoryStateVersion, m.c.Memory().LoadState)
+	l.load("core", core.StateVersion, m.c.LoadState)
+	l.load("bpred", predictors[m.cfg.Predictor].version, loader.LoadState)
+	l.load("l1i", cache.CacheStateVersion, m.hier.ICache.LoadState)
+	l.load("l1d", cache.CacheStateVersion, m.hier.DCache.LoadState)
+	l.load("l2", cache.CacheStateVersion, m.hier.L2.LoadState)
+	if pf := m.hier.DCache.Prefetcher(); pf != nil {
+		l.load("pf", cache.PrefetcherStateVersion, pf.LoadState)
+	}
+	if m.hier.DTLB != nil {
+		l.load("dtlb", cache.TLBStateVersion, m.hier.DTLB.LoadState)
+	}
+	if d, ok := m.hier.Mem.(*dram.DRAM); ok {
+		l.load("dram", dram.StateVersion, d.LoadState)
+	}
 }

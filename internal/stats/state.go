@@ -52,7 +52,7 @@ func (c *Counters) Snapshot() map[string]uint64 {
 func sortedKeys(m map[string]uint64) []string {
 	keys := make([]string, 0, len(m))
 	// Key gathering is order-insensitive; the sort below restores determinism.
-	for k := range m { //brlint:allow determinism
+	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
