@@ -10,10 +10,11 @@ import (
 // goldenPoint is one pinned simulation outcome: the headline counts, the
 // core's issued micro-ops (wrong path included, so a shifted wakeup on a
 // squashed path still shows) and, for Branch Runahead runs, the Figure-12
-// prediction breakdown and the Dependence Chain Engine's counters.
+// prediction breakdown and the Dependence Chain Engine's counters. br names
+// the Table 2 configuration attached at reset; empty is TAGE-SC-L alone.
 type goldenPoint struct {
 	workload  string
-	br        bool
+	br        string
 	cycles    uint64
 	instrs    uint64
 	branches  uint64
@@ -28,41 +29,81 @@ type goldenPoint struct {
 // moves at least one of them. Regenerate only for a deliberate change to
 // the simulated machine, and say why in the commit.
 var golden = []goldenPoint{
-	{"mcf_17", false, 40192, 50000, 2703, 1320, 56367, nil, nil},
-	{"leela_17", false, 48405, 50002, 5324, 1390, 71849, nil, nil},
-	{"omnetpp_06", false, 30276, 50000, 2353, 391, 54380, nil, nil},
-	{"tc", false, 46135, 50001, 11452, 1592, 64303, nil, nil},
-	{"mcf_17", true, 27033, 50000, 2703, 0, 50003, map[string]uint64{
+	{"mcf_17", "", 40192, 50000, 2703, 1320, 56367, nil, nil},
+	{"leela_17", "", 48405, 50002, 5324, 1390, 71849, nil, nil},
+	{"omnetpp_06", "", 30276, 50000, 2353, 391, 54380, nil, nil},
+	{"tc", "", 46135, 50001, 11452, 1592, 64303, nil, nil},
+	{"mcf_17", "mini", 27033, 50000, 2703, 0, 50003, map[string]uint64{
 		"correct": 2703, "inactive": 0, "incorrect": 0, "late": 0, "throttled": 0}, map[string]uint64{
 		"instances": 4175, "completions": 4046, "uops_issued": 20334, "loads_issued": 4079,
 		"init_window_full": 2274, "init_queue_full": 74672, "predictive_flushes": 0,
 		"syncs": 3, "sync_miss": 13, "divergences": 2}},
-	{"leela_17", true, 46315, 50002, 5324, 1289, 70306, map[string]uint64{
+	{"leela_17", "mini", 46315, 50002, 5324, 1289, 70306, map[string]uint64{
 		"correct": 548, "inactive": 2464, "incorrect": 109, "late": 813, "throttled": 5}, map[string]uint64{
 		"instances": 25179, "completions": 6003, "uops_issued": 34324, "loads_issued": 8844,
 		"init_window_full": 10861, "init_queue_full": 3798, "predictive_flushes": 467,
 		"syncs": 1153, "sync_miss": 415, "divergences": 1846}},
-	{"omnetpp_06", true, 27135, 50000, 2353, 81, 51513, map[string]uint64{
+	{"omnetpp_06", "mini", 27135, 50000, 2353, 81, 51513, map[string]uint64{
 		"correct": 2088, "inactive": 9, "incorrect": 45, "late": 102, "throttled": 20}, map[string]uint64{
 		"instances": 19567, "completions": 7485, "uops_issued": 47008, "loads_issued": 15867,
 		"init_window_full": 758536, "init_queue_full": 395514, "predictive_flushes": 0,
 		"syncs": 185, "sync_miss": 2, "divergences": 184}},
-	{"tc", true, 35207, 50001, 11452, 1005, 57300, map[string]uint64{
+	{"tc", "mini", 35207, 50001, 11452, 1005, 57300, map[string]uint64{
 		"correct": 1738, "inactive": 3481, "incorrect": 403, "late": 1123, "throttled": 4164}, map[string]uint64{
 		"instances": 242795, "completions": 24643, "uops_issued": 150543, "loads_issued": 68994,
 		"init_window_full": 1276726, "init_queue_full": 24811, "predictive_flushes": 2699,
 		"syncs": 756, "sync_miss": 233, "divergences": 1787}},
+	{"mcf_17", "core-only", 27081, 50000, 2703, 444, 50511, map[string]uint64{
+		"correct": 1136, "inactive": 1, "incorrect": 85, "late": 14, "throttled": 14}, map[string]uint64{
+		"instances": 3782, "completions": 3596, "uops_issued": 18472, "loads_issued": 3733,
+		"init_window_full": 44574, "init_queue_full": 0, "predictive_flushes": 0,
+		"syncs": 565, "sync_miss": 13, "divergences": 566}},
+	{"leela_17", "core-only", 45672, 50002, 5324, 1249, 69492, map[string]uint64{
+		"correct": 671, "inactive": 2312, "incorrect": 107, "late": 800, "throttled": 12}, map[string]uint64{
+		"instances": 6958, "completions": 5213, "uops_issued": 28560, "loads_issued": 7086,
+		"init_window_full": 12438, "init_queue_full": 4038, "predictive_flushes": 492,
+		"syncs": 1142, "sync_miss": 387, "divergences": 1806}},
+	{"omnetpp_06", "core-only", 27812, 50000, 2353, 264, 52457, map[string]uint64{
+		"correct": 674, "inactive": 687, "incorrect": 69, "late": 135, "throttled": 62}, map[string]uint64{
+		"instances": 3152, "completions": 2133, "uops_issued": 14325, "loads_issued": 5003,
+		"init_window_full": 52441, "init_queue_full": 200, "predictive_flushes": 0,
+		"syncs": 406, "sync_miss": 2, "divergences": 406}},
+	{"tc", "core-only", 33328, 50001, 11452, 828, 57432, map[string]uint64{
+		"correct": 2148, "inactive": 5298, "incorrect": 323, "late": 345, "throttled": 2558}, map[string]uint64{
+		"instances": 26930, "completions": 16749, "uops_issued": 82843, "loads_issued": 23951,
+		"init_window_full": 460028, "init_queue_full": 190278, "predictive_flushes": 2182,
+		"syncs": 707, "sync_miss": 333, "divergences": 1829}},
+	{"mcf_17", "big", 27033, 50000, 2703, 3, 50005, map[string]uint64{
+		"correct": 2679, "inactive": 0, "incorrect": 3, "late": 0, "throttled": 0}, map[string]uint64{
+		"instances": 9875, "completions": 7455, "uops_issued": 37420, "loads_issued": 7500,
+		"init_window_full": 57, "init_queue_full": 2061445, "predictive_flushes": 0,
+		"syncs": 6, "sync_miss": 13, "divergences": 5}},
+	{"leela_17", "big", 46183, 50000, 5324, 1260, 70446, map[string]uint64{
+		"correct": 654, "inactive": 2349, "incorrect": 62, "late": 826, "throttled": 0}, map[string]uint64{
+		"instances": 297739, "completions": 7874, "uops_issued": 46994, "loads_issued": 12312,
+		"init_window_full": 6224, "init_queue_full": 6017, "predictive_flushes": 365,
+		"syncs": 1216, "sync_miss": 371, "divergences": 1910}},
+	{"omnetpp_06", "big", 26858, 50000, 2353, 41, 51111, map[string]uint64{
+		"correct": 2236, "inactive": 0, "incorrect": 18, "late": 89, "throttled": 0}, map[string]uint64{
+		"instances": 111571, "completions": 5345, "uops_issued": 33002, "loads_issued": 11054,
+		"init_window_full": 56293, "init_queue_full": 1431047, "predictive_flushes": 0,
+		"syncs": 106, "sync_miss": 2, "divergences": 105}},
 }
 
 // goldenCfg is the short quick-scale budget the golden points use:
-// TAGE-SC-L alone, or with Mini Branch Runahead attached at reset.
-func goldenCfg(br bool) Config {
+// TAGE-SC-L alone, or with the named Branch Runahead configuration attached
+// at reset.
+func goldenCfg(t *testing.T, br string) Config {
+	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Warmup = 20_000
 	cfg.MaxInstrs = 50_000
-	if br {
-		mini := runahead.Mini()
-		cfg.BR = &mini
+	if br != "" {
+		rc, err := runahead.ConfigByName(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.BR = &rc
 	}
 	return cfg
 }
@@ -74,13 +115,19 @@ func goldenCfg(br bool) Config {
 // simulator with itself; this one compares it with fixed numbers, so an
 // optimisation that perturbs timing cannot pass unnoticed.
 //
+// Mini runs on all four kernels. Core-Only runs on them too, because only
+// it sizes its window by the core's spare reservation stations each cycle.
+// Big runs on three: its 1024-entry window and 64 queues are the only ones
+// that fill with hundreds of instances. Big on tc takes seconds, so
+// `brexp -workload tc -br big -json` is compared byte for byte instead.
+//
 // Each point is driven through the machine Run builds, so the BR points
 // can also read the engine's counters, which Result does not carry. Those
 // totals include the warmup. They show a change to when the engine scans
 // its instance lists even where the cycle count happens to survive it.
 func TestGoldenCycleExact(t *testing.T) {
 	for _, want := range golden {
-		m, err := newMachine(mustWorkload(t, want.workload), goldenCfg(want.br))
+		m, err := newMachine(mustWorkload(t, want.workload), goldenCfg(t, want.br))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +145,7 @@ func TestGoldenCycleExact(t *testing.T) {
 			got.dce = m.sys.DCEStats().Snapshot()
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s br=%v:\ngot  %+v\nwant %+v", want.workload, want.br, got, want)
+			t.Errorf("%s br=%q:\ngot  %+v\nwant %+v", want.workload, want.br, got, want)
 		}
 	}
 }
