@@ -1,7 +1,8 @@
 package runahead
 
 import (
-	"math"
+	"cmp"
+	"math/bits"
 	"slices"
 
 	"repro/internal/bpred"
@@ -24,42 +25,60 @@ type envVal struct {
 }
 
 // pendingLiveIn is an unresolved live-in awaiting a producer-instance local
-// register.
+// register. While it waits it is linked into its producer's waiter list
+// (prev/next), so that the producer can queue owner for resolution when one
+// of its locals becomes ready or it is killed. A resolved entry stays in
+// place with src nil.
 type pendingLiveIn struct {
-	local    int
-	src      *Instance
-	srcLocal int
+	local      int
+	src        *Instance
+	srcLocal   int
+	owner      *Instance
+	prev, next *pendingLiveIn
 }
 
 // Instance is one dynamic execution of a dependence chain: a local register
 // file plus a local reservation station (paper §4.2).
 //
-// Instances are pooled (DCE.newInstance, DCE.drop). Five kinds of holder
-// keep an *Instance: the all list, the run list, a deferred initiation's
-// parent, an envVal.src and a pendingLiveIn.src. Each counts itself in
-// refs, and an instance returns to the free list when the count reaches
-// zero. Every reference points from a younger instance to an older one, so
-// the references form no cycle. Nothing may keep an *Instance without a
-// counted reference: a recycled instance is another chain's.
+// Instances are pooled (DCE.newInstance, DCE.drop). Four kinds of holder
+// keep an *Instance: the all list, a deferred initiation's parent, an
+// envVal.src and a pendingLiveIn.src. Each counts itself in refs, and an
+// instance returns to the free list when the count reaches zero. Every
+// reference points from a younger instance to an older one, so the
+// references form no cycle. Nothing else may keep an *Instance across a
+// call, because a recycled instance is another chain's, with two
+// exceptions: the DCE's event queues stamp each reference with the id and
+// read it only while the id still matches, and a pending live-in leaves its
+// producer's waiter list when it is resolved or its consumer is released.
 type Instance struct {
+	// env is the inherited architectural environment. launch writes all of
+	// it, so newInstance resets only instState and leaves env as it was.
+	env [isa.NumRegs]envVal
+	instState
+}
+
+// instState is the part of an Instance that newInstance resets.
+type instState struct {
 	id    uint64
 	chain *Chain
 	refs  int
 
-	// words and flags are the slabs vals/doneAt and ready/issued/executed/
-	// outcomes are carved from; they keep their capacity across reuse.
-	words []uint64
+	// vals is the local register file. flags is the slab ready/issued/
+	// outcomes are carved from. Both keep their capacity across reuse.
+	vals  []uint64
 	flags []bool
 
-	vals     []uint64
 	ready    []bool
 	issued   []bool
-	executed []bool
-	doneAt   []uint64
 	outcomes []bool // per-uop branch outcome (only the final entry is used)
 
-	env     [isa.NumRegs]envVal
+	// envSrcs has bit r set while env[r] refers to a producer (src != nil),
+	// so the walks over those references skip the concrete entries.
+	envSrcs uint64
 	pending []pendingLiveIn
+	// waiters heads the list of pending live-ins waiting on this
+	// instance's locals.
+	waiters *pendingLiveIn
 
 	q       *Queue
 	slotIdx uint64
@@ -69,12 +88,11 @@ type Instance struct {
 	killed    bool
 	outcome   bool
 
-	// Scheduling acceleration: wake marks instances that may have issuable
-	// micro-ops; inflight lists issued-but-unfinished micro-op indices;
-	// unissued counts micro-ops not yet issued.
-	wake     bool
-	inflight []int
-	unissued int
+	// Scheduling: readyUops holds the unissued micro-ops whose sources are
+	// ready (under InOrderChainExec, only the next one in order); unissued
+	// counts micro-ops not yet issued.
+	readyUops uopSet
+	unissued  int
 
 	// Predictive initiation bookkeeping. specDepth counts unresolved
 	// speculative initiations in this instance's ancestry; it bounds how
@@ -109,11 +127,142 @@ func (in *Instance) val(l int) uint64 {
 	return in.vals[l]
 }
 
+// addWaiter links p, a pending live-in waiting on one of in's locals, into
+// in's waiter list.
+func (in *Instance) addWaiter(p *pendingLiveIn) {
+	p.prev, p.next = nil, in.waiters
+	if in.waiters != nil {
+		in.waiters.prev = p
+	}
+	in.waiters = p
+}
+
+// removeWaiter unlinks p from in's waiter list.
+func (in *Instance) removeWaiter(p *pendingLiveIn) {
+	if p.prev != nil {
+		p.prev.next = p.next
+	} else {
+		in.waiters = p.next
+	}
+	if p.next != nil {
+		p.next.prev = p.prev
+	}
+	p.prev, p.next = nil, nil
+}
+
+// uopSet is a set of a chain's micro-op indices.
+type uopSet [(MaxChainLenLimit + 63) / 64]uint64
+
+func (s *uopSet) add(i int)    { s[i>>6] |= 1 << (i & 63) }
+func (s *uopSet) remove(i int) { s[i>>6] &^= 1 << (i & 63) }
+
+func (s *uopSet) empty() bool {
+	for _, w := range s {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// next returns the smallest member >= i, or -1.
+func (s *uopSet) next(i int) int {
+	for w := i >> 6; w < len(s); w++ {
+		m := s[w]
+		if w == i>>6 {
+			m &= ^uint64(0) << (i & 63)
+		}
+		if m != 0 {
+			return w<<6 | bits.TrailingZeros64(m)
+		}
+	}
+	return -1
+}
+
+// instRef is an uncounted reference to an instance, valid only while
+// in.id still equals id: a released instance may be handed to another
+// chain before the reference is read.
+type instRef struct {
+	in *Instance
+	id uint64
+}
+
+// live reports whether r still names the instance it was taken from.
+func (r instRef) live() bool { return r.in.id == r.id }
+
+// insertRef adds in to the id-ordered list refs unless it is there already.
+func insertRef(refs []instRef, in *Instance) []instRef {
+	if n := len(refs); n == 0 || refs[n-1].id < in.id {
+		return push(refs, instRef{in, in.id})
+	}
+	i, found := slices.BinarySearchFunc(refs, in.id, cmpRefID)
+	if found {
+		return refs
+	}
+	refs = grow1(refs)
+	copy(refs[i+1:], refs[i:])
+	refs[i] = instRef{in, in.id}
+	return refs
+}
+
+func cmpRefID(r instRef, id uint64) int { return cmp.Compare(r.id, id) }
+
+// event is an entry of the engine's event heaps: an instRef, a micro-op
+// index and the key the heap orders by.
+type event struct {
+	key uint64
+	instRef
+	uop int
+}
+
+// eventHeap is a binary min-heap of events by key.
+type eventHeap []event
+
+func (h *eventHeap) push(ev event) {
+	s := push(*h, ev)
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if s[p].key <= s[i].key {
+			break
+		}
+		s[p], s[i] = s[i], s[p]
+		i = p
+	}
+	*h = s
+}
+
+func (h *eventHeap) pop() event {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	s[0] = s[n]
+	s[n] = event{}
+	s = s[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && s[c+1].key < s[c].key {
+			c++
+		}
+		if s[i].key <= s[c].key {
+			break
+		}
+		s[i], s[c] = s[c], s[i]
+		i = c
+	}
+	*h = s
+	return top
+}
+
 // deferredInit retries an initiation that failed for lack of window or
-// prediction-queue space.
+// prediction-queue space. q is the queue that refused it, if one did; a
+// retry reuses it while it is still assigned to the chain's branch.
 type deferredInit struct {
 	parent *Instance
 	chain  *Chain
+	q      *Queue
 }
 
 // DCE is the Dependence Chain Engine: the dedicated unit that executes
@@ -135,11 +284,8 @@ type DCE struct {
 	// order. It is a window onto allBuf: pops advance its start, and
 	// pushAll slides it back to the front of the array when it reaches the
 	// end.
-	all    []*Instance
-	allBuf []*Instance
-	// run holds the initiated instances not yet dropped from the scan set
-	// for scheduling, in initiation order; compactRun drops done ones.
-	run       []*Instance
+	all       []*Instance
+	allBuf    []*Instance
 	activeRun int // count of initiated-but-not-done instances (the window)
 	nextID    uint64
 	deferred  []deferredInit
@@ -147,6 +293,9 @@ type DCE struct {
 	// deferred each Tick, so the retry loop reuses two arrays forever
 	// instead of reallocating per cycle. Pure scratch between Ticks.
 	deferredSpare []deferredInit
+	// deferredStale: an instance was killed since the deferred list was
+	// last cleared of dead parents.
+	deferredStale bool
 	// spareIssue/spareRS are per-Tick scratch (Core-Only: the cycle's
 	// borrowed issue slots), rewritten before each use.
 	spareIssue int
@@ -165,17 +314,18 @@ type DCE struct {
 	chainBuf []*Chain
 	famBuf   []uint64
 
-	// Scan skips: a Tick phase runs only when its flag says it can change
-	// something. runDirty: an instance completed or was killed since the
-	// last compactRun. pendingDirty: since the last resolvePending pass a
-	// local became ready, an instance was killed or a pending live-in was
-	// created (a pass that resolves something re-arms it). nextDone: the
-	// earliest doneAt still in flight. awake: some instance may issue.
-	// All are derived from the instances.
-	runDirty     bool
-	pendingDirty bool
-	nextDone     uint64
-	awake        bool
+	// The events a Tick acts on, so that no phase scans the instances.
+	// resolveQ is a heap, keyed by id, of the consumers whose pending
+	// live-ins a producer event may resolve: a local became ready or the
+	// producer was killed. doneQ is a heap of the issued micro-ops keyed by
+	// the cycle their result is ready. issueQ lists the instances with a
+	// ready micro-op in id order. All hold uncounted instRefs; an entry
+	// whose instance is done or was recycled is skipped and dropped.
+	// doneBuf is completeExecution's scratch.
+	resolveQ eventHeap
+	doneQ    eventHeap
+	doneBuf  []event
+	issueQ   []instRef
 
 	C *stats.Counters
 	// Dense handles for the engine's per-event counters; the values live in C.
@@ -280,6 +430,7 @@ func (e *DCE) Sync(now uint64, pc uint64, taken bool, regs *emu.RegFile) {
 		e.deferred[k] = d
 		k++
 	}
+	clear(e.deferred[k:])
 	e.deferred = e.deferred[:k]
 
 	// Synchronize the prediction queues with fetch.
@@ -290,12 +441,10 @@ func (e *DCE) Sync(now uint64, pc uint64, taken bool, regs *emu.RegFile) {
 	}
 
 	// Initiate the matching chains with concrete live-ins from the core.
-	var env [isa.NumRegs]envVal
-	for r := isa.Reg(0); r < isa.NumRegs; r++ {
-		env[r] = envVal{known: true, val: regs.Get(r)}
-	}
 	for _, ch := range matching {
-		e.initiate(now, ch, &env)
+		if q, ok := e.admit(now, ch, nil); ok {
+			e.launch(now, ch, q, nil, regs)
+		}
 	}
 	e.truncChains(mark)
 }
@@ -337,10 +486,8 @@ func (e *DCE) kill(now uint64, in *Instance) {
 	if in.done() {
 		return
 	}
-	in.killed = true
+	e.markKilled(in)
 	e.activeRun--
-	e.runDirty = true
-	e.pendingDirty = true
 	if e.tr.Enabled() {
 		e.tr.Emit(trace.Event{
 			Cycle: now, PC: in.chain.BranchPC, Seq: in.id, Kind: trace.KindChainKill,
@@ -348,71 +495,81 @@ func (e *DCE) kill(now uint64, in *Instance) {
 	}
 }
 
-// initiate launches one dynamic chain instance. env supplies the inherited
-// architectural environment (concrete at synchronization; partially
-// references into parent for continuous execution). Returns nil when the
-// window or the prediction queue is full.
-func (e *DCE) initiate(now uint64, ch *Chain, env *[isa.NumRegs]envVal) *Instance {
-	q := e.admit(now, ch)
-	if q == nil {
-		return nil
+// markKilled sets in's killed flag and queues the consumers waiting on it,
+// which resolution then kills in turn.
+func (e *DCE) markKilled(in *Instance) {
+	in.killed = true
+	e.deferredStale = true
+	for p := in.waiters; p != nil; p = p.next {
+		if !p.owner.done() {
+			e.queueResolve(p.owner)
+		}
 	}
-	return e.launch(now, ch, env, q)
 }
 
-// initiateFrom is initiate for a child inheriting parent's environment; the
-// environment is built only after the admission checks pass, so a deferred
-// initiation retried against a full window costs two comparisons, not a
-// whole-register-file copy.
-func (e *DCE) initiateFrom(now uint64, ch *Chain, parent *Instance) *Instance {
-	q := e.admit(now, ch)
-	if q == nil {
-		return nil
-	}
-	env := childEnv(parent)
-	return e.launch(now, ch, &env, q)
+// queueResolve queues consumer in for the next resolvePending pass.
+func (e *DCE) queueResolve(in *Instance) {
+	e.resolveQ.push(event{key: in.id, instRef: instRef{in, in.id}})
 }
 
 // admit performs initiation's capacity checks — instance window and
-// prediction queue — counting each refusal exactly as initiate always has.
-func (e *DCE) admit(now uint64, ch *Chain) *Queue {
+// prediction queue — counting each refusal. hint is a queue that refused
+// this chain before, or nil. admit returns the chain's queue, when it got
+// as far as looking one up, and whether the initiation may launch; after a
+// queue refusal that queue is the next retry's hint.
+func (e *DCE) admit(now uint64, ch *Chain, hint *Queue) (*Queue, bool) {
 	if !e.windowFree() {
 		e.ctr.initWindowFull.Inc()
-		return nil
+		return nil, false
 	}
-	q := e.pqs.Ensure(ch.BranchPC, now)
+	q := e.pqs.ensureVia(hint, ch.BranchPC, now)
 	if q == nil || q.full() {
 		e.ctr.initQueueFull.Inc()
-		return nil
+		return q, false
 	}
-	return q
+	return q, true
 }
 
-// launch builds the admitted instance.
-func (e *DCE) launch(now uint64, ch *Chain, env *[isa.NumRegs]envVal, q *Queue) *Instance {
+// launch builds an admitted instance of ch on queue q. Its environment is
+// built in place: a successor's is parent's overlaid with parent's
+// live-outs (global rename, Figure 8); a synchronized chain's, with parent
+// nil, holds the core's registers regs.
+func (e *DCE) launch(now uint64, ch *Chain, q *Queue, parent *Instance, regs *emu.RegFile) *Instance {
 	slot := q.alloc
 	*q.slot(slot) = pqSlot{}
 	q.alloc++
 
 	n := len(ch.Uops)
 	nl := ch.NumLocals
-	in := e.newInstance(nl+n, nl+3*n)
-	// The per-local and per-uop word and bool arrays are carved from the
-	// instance's two slabs (full-cap slices so no region can grow into its
-	// neighbour).
-	words, flags := in.words, in.flags
+	in := e.newInstance(nl, nl+2*n)
+	// The per-local and per-uop flag arrays are carved from the instance's
+	// slab (full-cap slices so no region can grow into its neighbour).
+	flags := in.flags
 	in.id = e.nextID
 	in.chain = ch
-	in.vals, in.doneAt = words[:nl:nl], words[nl:]
 	in.ready = flags[:nl:nl]
 	in.issued = flags[nl : nl+n : nl+n]
-	in.executed = flags[nl+n : nl+2*n : nl+2*n]
-	in.outcomes = flags[nl+2*n:]
-	in.env = *env
+	in.outcomes = flags[nl+n:]
 	in.q, in.slotIdx, in.slotGen = q, slot, q.gen
-	in.wake = true
 	in.unissued = n
 	e.nextID++
+
+	if parent != nil {
+		in.env, in.envSrcs = parent.env, parent.envSrcs
+		for _, lo := range parent.chain.LiveOuts {
+			if parent.ready[lo.Local] {
+				in.env[lo.Arch] = envVal{known: true, val: parent.vals[lo.Local]}
+				in.envSrcs &^= 1 << lo.Arch
+			} else {
+				in.env[lo.Arch] = envVal{src: parent, srcLocal: lo.Local}
+				in.envSrcs |= 1 << lo.Arch
+			}
+		}
+	} else {
+		for r := range in.env {
+			in.env[r] = envVal{known: true, val: regs.Get(isa.Reg(r))}
+		}
+	}
 
 	// Resolve live-ins from the environment.
 	for _, li := range ch.LiveIns {
@@ -428,11 +585,11 @@ func (e *DCE) launch(now uint64, ch *Chain, env *[isa.NumRegs]envVal, q *Queue) 
 				in.ready[li.Local] = true
 				// Concretize for our own successors too.
 				*ev = envVal{known: true, val: v}
+				in.envSrcs &^= 1 << li.Arch
 			} else {
 				ev.src.refs++
 				in.pending = push(in.pending, pendingLiveIn{
-					local: li.Local, src: ev.src, srcLocal: ev.srcLocal})
-				e.pendingDirty = true
+					local: li.Local, src: ev.src, srcLocal: ev.srcLocal, owner: in})
 			}
 		default:
 			// Unbound register: treat as zero (cannot happen after a sync,
@@ -441,19 +598,31 @@ func (e *DCE) launch(now uint64, ch *Chain, env *[isa.NumRegs]envVal, q *Queue) 
 			in.ready[li.Local] = true
 		}
 	}
-	// The environment's remaining producer references are counted once
-	// it is final.
-	for r := range in.env {
-		if src := in.env[r].src; src != nil {
-			src.refs++
+	// Now that neither list changes, count the environment's remaining
+	// producer references and link each pending live-in to its producer. A
+	// producer that was already killed raises no further event, so its
+	// consumer is queued at once.
+	for m := in.envSrcs; m != 0; m &= m - 1 {
+		in.env[bits.TrailingZeros64(m)].src.refs++
+	}
+	for i := range in.pending {
+		p := &in.pending[i]
+		p.src.addWaiter(p)
+		if p.src.killed {
+			e.queueResolve(in)
 		}
 	}
 
-	in.refs = 2 // all and run
+	in.refs = 1 // all
 	e.pushAll(in)
-	e.run = push(e.run, in)
 	e.activeRun++
-	e.awake = true
+	if e.cfg.InOrderChainExec {
+		e.wakeUop(in, 0)
+	} else {
+		for i := range ch.Uops {
+			e.wakeUop(in, i)
+		}
+	}
 	e.ctr.instances.Inc()
 	if e.tr.Enabled() {
 		e.tr.Emit(trace.Event{
@@ -464,10 +633,11 @@ func (e *DCE) launch(now uint64, ch *Chain, env *[isa.NumRegs]envVal, q *Queue) 
 	return in
 }
 
-// newInstance hands out a zeroed instance whose slabs hold nwords words
-// and nflags flags, taking it from the free list when one is there. The
-// instance keeps the capacity of its slabs and lists.
-func (e *DCE) newInstance(nwords, nflags int) *Instance {
+// newInstance hands out an instance with a zeroed instState holding nvals
+// local registers and nflags flags, taking it from the free list when one
+// is there. The instance keeps the capacity of its slices, and its stale
+// env, which launch overwrites.
+func (e *DCE) newInstance(nvals, nflags int) *Instance {
 	var in *Instance
 	if last := len(e.free) - 1; last >= 0 {
 		in = e.free[last]
@@ -480,11 +650,10 @@ func (e *DCE) newInstance(nwords, nflags int) *Instance {
 		// that peak is not bounded by Window.
 		in = new(Instance) //brlint:allow hot-path-alloc
 	}
-	*in = Instance{
-		words:     zeroed(in.words, nwords),
+	in.instState = instState{
+		vals:      zeroed(in.vals, nvals),
 		flags:     zeroed(in.flags, nflags),
 		pending:   in.pending[:0],
-		inflight:  in.inflight[:0],
 		initiated: in.initiated[:0],
 	}
 	e.live++
@@ -505,7 +674,8 @@ func zeroed[T any](s []T, n int) []T {
 
 // drop removes one counted reference to in. At zero the instance goes back
 // on the free list and drops the references it holds itself, through a
-// worklist rather than recursion because ancestor chains are long.
+// worklist rather than recursion because ancestor chains are long. Its
+// unresolved live-ins leave their producers' waiter lists first.
 func (e *DCE) drop(in *Instance) {
 	if in.refs--; in.refs > 0 {
 		return
@@ -514,14 +684,18 @@ func (e *DCE) drop(in *Instance) {
 	for len(work) > 0 {
 		x := work[len(work)-1]
 		work = work[:len(work)-1]
-		for r := range x.env {
-			if src := x.env[r].src; src != nil {
-				if src.refs--; src.refs == 0 {
-					work = push(work, src)
-				}
+		for m := x.envSrcs; m != 0; m &= m - 1 {
+			src := x.env[bits.TrailingZeros64(m)].src
+			if src.refs--; src.refs == 0 {
+				work = push(work, src)
 			}
 		}
-		for _, p := range x.pending {
+		for i := range x.pending {
+			p := &x.pending[i]
+			if p.src == nil {
+				continue
+			}
+			p.src.removeWaiter(p)
 			if p.src.refs--; p.src.refs == 0 {
 				work = push(work, p.src)
 			}
@@ -557,20 +731,6 @@ func (e *DCE) popAll() {
 	e.all[0] = nil
 	e.all = e.all[1:]
 	e.drop(in)
-}
-
-// childEnv builds the environment a successor inherits: the parent's
-// environment overlaid with the parent's live-outs (global rename).
-func childEnv(parent *Instance) [isa.NumRegs]envVal {
-	env := parent.env
-	for _, lo := range parent.chain.LiveOuts {
-		if parent.ready[lo.Local] {
-			env[lo.Arch] = envVal{known: true, val: parent.vals[lo.Local]}
-		} else {
-			env[lo.Arch] = envVal{src: parent, srcLocal: lo.Local}
-		}
-	}
-	return env
 }
 
 // onInitiated fires the early (initiation-time) triggers of the configured
@@ -616,12 +776,13 @@ func (e *DCE) tryInitiateChild(now uint64, parent *Instance, ch *Chain, specDept
 	if parent.hasInitiated(ch) {
 		return
 	}
-	if child := e.initiateFrom(now, ch, parent); child != nil {
+	if q, ok := e.admit(now, ch, nil); ok {
+		child := e.launch(now, ch, q, parent, nil)
 		child.specDepth = specDepth
 		parent.initiated = push(parent.initiated, ch)
 	} else if len(e.deferred) < 64 {
 		parent.refs++
-		e.deferred = push(e.deferred, deferredInit{parent: parent, chain: ch})
+		e.deferred = push(e.deferred, deferredInit{parent: parent, chain: ch, q: q})
 		parent.initiated = push(parent.initiated, ch) // the deferral owns the retry
 	}
 }
@@ -661,8 +822,7 @@ func (e *DCE) flushYoungerThan(now uint64, in *Instance) {
 			continue
 		}
 		if o.completed {
-			o.killed = true // suppress the pending completion trigger
-			e.pendingDirty = true
+			e.markKilled(o) // suppress the pending completion trigger
 		} else {
 			e.kill(now, o)
 		}
@@ -681,6 +841,11 @@ func (e *DCE) flushYoungerThan(now uint64, in *Instance) {
 		}
 	}
 	// Deferred initiations from flushed parents are dead.
+	e.dropDeadDeferred()
+}
+
+// dropDeadDeferred drops the deferred initiations whose parent was killed.
+func (e *DCE) dropDeadDeferred() {
 	k := 0
 	for _, d := range e.deferred {
 		if d.parent.killed {
@@ -690,14 +855,16 @@ func (e *DCE) flushYoungerThan(now uint64, in *Instance) {
 		e.deferred[k] = d
 		k++
 	}
+	clear(e.deferred[k:])
 	e.deferred = e.deferred[:k]
+	e.deferredStale = false
 }
 
 // Idle reports that the engine has no in-flight work: no resident chain
 // instances, nothing runnable and no deferred initializations, so every
 // phase of Tick would fall straight through.
 func (e *DCE) Idle() bool {
-	return len(e.all) == 0 && len(e.run) == 0 && len(e.deferred) == 0
+	return len(e.all) == 0 && len(e.deferred) == 0
 }
 
 // Tick advances the engine one cycle. spareIssue/spareRS report the core's
@@ -708,7 +875,6 @@ func (e *DCE) Tick(now uint64, spareIssue, spareRS int) {
 	e.spareIssue = spareIssue
 	e.spareRS = spareRS
 
-	e.compactRun()
 	e.resolvePending(now)
 	e.completeExecution(now)
 	e.processTriggers(now)
@@ -717,119 +883,141 @@ func (e *DCE) Tick(now uint64, spareIssue, spareRS int) {
 	e.compact()
 }
 
-// compactRun drops done instances from the scheduling scan set. It runs
-// only when one has completed or been killed since the last compaction.
-func (e *DCE) compactRun() {
-	if !e.runDirty {
-		return
-	}
-	e.runDirty = false
-	k := 0
-	for _, in := range e.run {
-		if in.done() {
-			e.drop(in)
-			continue
-		}
-		e.run[k] = in
-		k++
-	}
-	clear(e.run[k:])
-	e.run = e.run[:k]
-}
-
-// resolvePending copies producer locals into waiting live-ins. A pass runs
-// only when pendingDirty says one can find something: otherwise every
-// pending live-in is still waiting on a live, unready local.
+// resolvePending copies producer locals into the pending live-ins of the
+// queued consumers, in id order. Resolving one consumer can queue younger
+// ones (a new local, or a kill); they are resolved later in the same pass.
 func (e *DCE) resolvePending(now uint64) {
-	if !e.pendingDirty {
-		return
-	}
-	e.pendingDirty = false
-	for _, in := range e.run {
-		if in.done() || len(in.pending) == 0 {
-			continue
+	prev := instRef{}
+	for len(e.resolveQ) > 0 {
+		r := e.resolveQ.pop().instRef
+		in := r.in
+		if r == prev || !r.live() || in.done() {
+			continue // queued twice, recycled or done
 		}
-		k := 0
-		for _, p := range in.pending {
+		prev = r
+		for j := range in.pending {
+			p := &in.pending[j]
+			src := p.src
 			switch {
-			case p.src.killed:
+			case src == nil:
+				continue
+			case src.killed:
 				e.kill(now, in)
-			case p.src.ready[p.srcLocal]:
-				in.vals[p.local] = p.src.vals[p.srcLocal]
-				in.ready[p.local] = true
-				in.wake = true
-				e.awake = true
-				e.pendingDirty = true // the new local may be another's source
+			case src.ready[p.srcLocal]:
+				in.vals[p.local] = src.vals[p.srcLocal]
+				e.publish(in, p.local, 0) // the new local may be another's source
 			default:
-				in.pending[k] = p
-				k++
 				continue
 			}
-			e.drop(p.src)
+			src.removeWaiter(p)
+			p.src = nil
+			e.drop(src)
 		}
-		clear(in.pending[k:])
-		in.pending = in.pending[:k]
 	}
 }
 
-// completeExecution publishes results whose latency has elapsed and
-// completes instances whose branch resolved. It runs only once now reaches
-// nextDone, the earliest doneAt still in flight.
-func (e *DCE) completeExecution(now uint64) {
-	if now < e.nextDone {
+// publish marks local l of in ready. It wakes in's micro-ops that read l,
+// all of which sit at index from or later, and queues the consumers waiting
+// on l.
+func (e *DCE) publish(in *Instance, l, from int) {
+	in.ready[l] = true
+	if !in.done() {
+		if e.cfg.InOrderChainExec {
+			e.wakeUop(in, len(in.chain.Uops)-in.unissued)
+		} else {
+			for i := from; i < len(in.chain.Uops); i++ {
+				if u := &in.chain.Uops[i]; u.Src1 == l || u.Src2 == l {
+					e.wakeUop(in, i)
+				}
+			}
+		}
+	}
+	for p := in.waiters; p != nil; p = p.next {
+		if p.srcLocal == l && !p.owner.done() {
+			e.queueResolve(p.owner)
+		}
+	}
+}
+
+// wakeUop adds micro-op i to in's ready set when it can issue, and lists in
+// for issue when that set was empty.
+func (e *DCE) wakeUop(in *Instance, i int) {
+	if !e.uopReady(in, i) {
 		return
 	}
-	next := uint64(math.MaxUint64)
-	for _, in := range e.run {
-		if in.done() || len(in.inflight) == 0 {
+	if in.readyUops.empty() {
+		e.issueQ = insertRef(e.issueQ, in)
+	}
+	in.readyUops.add(i)
+}
+
+// uopReady reports whether in's micro-op i exists, is unissued and has its
+// sources ready.
+func (e *DCE) uopReady(in *Instance, i int) bool {
+	return i < len(in.chain.Uops) && !in.issued[i] && e.srcsReady(in, &in.chain.Uops[i])
+}
+
+// completeExecution publishes the results whose latency has elapsed and
+// completes instances whose branch resolved. It takes the due micro-ops off
+// doneQ and handles them in instance id order, so completions are traced in
+// that order. An instance done before the pass publishes nothing; one whose
+// branch completes in it still publishes its other due results.
+func (e *DCE) completeExecution(now uint64) {
+	if len(e.doneQ) == 0 || e.doneQ[0].key > now {
+		return
+	}
+	due := e.doneBuf[:0]
+	for len(e.doneQ) > 0 && e.doneQ[0].key <= now {
+		due = push(due, e.doneQ.pop())
+	}
+	slices.SortFunc(due, func(a, b event) int { return cmp.Compare(a.id, b.id) })
+	skip := instRef{}
+	for k, ev := range due {
+		in := ev.in
+		if ev.instRef == skip {
 			continue
 		}
-		k := 0
-		for _, i := range in.inflight {
-			if in.doneAt[i] > now {
-				in.inflight[k] = i
-				k++
-				next = min(next, in.doneAt[i])
+		if k == 0 || ev.id != due[k-1].id {
+			// First due result of this instance: skip it whole when it was
+			// already done, or recycled.
+			if !ev.live() || in.done() {
+				skip = ev.instRef
 				continue
 			}
-			in.executed[i] = true
-			in.wake = true
-			e.awake = true
-			u := &in.chain.Uops[i]
-			if u.Dst >= 0 {
-				in.ready[u.Dst] = true
-				e.pendingDirty = true
+		}
+		i := ev.uop
+		u := &in.chain.Uops[i]
+		if u.Dst >= 0 {
+			e.publish(in, u.Dst, i+1)
+		}
+		if i == len(in.chain.Uops)-1 {
+			// The chain's branch: the outcome is ready.
+			in.outcome = in.outcomes[i]
+			in.completed = true
+			e.activeRun--
+			e.ctr.completions.Inc()
+			if e.tr.Enabled() {
+				e.tr.Emit(trace.Event{
+					Cycle: now, PC: in.chain.BranchPC, Seq: in.id,
+					Kind: trace.KindChainComplete, Flag: in.outcome,
+				})
 			}
-			if i == len(in.chain.Uops)-1 {
-				// The chain's branch: the outcome is ready.
-				in.outcome = in.outcomes[i]
-				in.completed = true
-				e.activeRun--
-				e.runDirty = true
-				e.ctr.completions.Inc()
+			// Push into the prediction queue.
+			if in.q.gen == in.slotGen {
+				s := in.q.slot(in.slotIdx)
+				s.filled = true
+				s.value = in.outcome
 				if e.tr.Enabled() {
 					e.tr.Emit(trace.Event{
-						Cycle: now, PC: in.chain.BranchPC, Seq: in.id,
-						Kind: trace.KindChainComplete, Flag: in.outcome,
+						Cycle: now, PC: in.q.branchPC, Seq: in.id,
+						Kind: trace.KindPQFill, Arg: in.slotIdx, Flag: in.outcome,
 					})
-				}
-				// Push into the prediction queue.
-				if in.q.gen == in.slotGen {
-					s := in.q.slot(in.slotIdx)
-					s.filled = true
-					s.value = in.outcome
-					if e.tr.Enabled() {
-						e.tr.Emit(trace.Event{
-							Cycle: now, PC: in.q.branchPC, Seq: in.id,
-							Kind: trace.KindPQFill, Arg: in.slotIdx, Flag: in.outcome,
-						})
-					}
 				}
 			}
 		}
-		in.inflight = in.inflight[:k]
 	}
-	e.nextDone = next
+	clear(due)
+	e.doneBuf = due[:0]
 }
 
 // processTriggers fires completion triggers strictly in initiation order,
@@ -842,10 +1030,12 @@ func (e *DCE) processTriggers(now uint64) {
 		}
 		// All our env references point at ancestors whose triggers have
 		// already fired (they are complete): concretize and drop them.
-		for r := range in.env {
+		for m := in.envSrcs; m != 0; m &= m - 1 {
+			r := bits.TrailingZeros64(m)
 			ev := &in.env[r]
-			if src := ev.src; !ev.known && src != nil && src.ready[ev.srcLocal] {
+			if src := ev.src; src.ready[ev.srcLocal] {
 				*ev = envVal{known: true, val: src.vals[ev.srcLocal]}
+				in.envSrcs &^= 1 << r
 				e.drop(src)
 			}
 		}
@@ -857,9 +1047,18 @@ func (e *DCE) processTriggers(now uint64) {
 }
 
 // retryDeferred re-attempts initiations that previously hit a full window
-// or queue.
+// or queue. A window full at the start of the pass stays full through it,
+// so then every live entry is refused at once; the list is walked only
+// when a kill may have left a dead parent in it.
 func (e *DCE) retryDeferred(now uint64) {
 	if len(e.deferred) == 0 {
+		return
+	}
+	if !e.windowFree() {
+		if e.deferredStale {
+			e.dropDeadDeferred()
+		}
+		e.ctr.initWindowFull.Add(uint64(len(e.deferred)))
 		return
 	}
 	// Detach the list first: a successful initiation can defer new child
@@ -869,26 +1068,33 @@ func (e *DCE) retryDeferred(now uint64) {
 	pending := e.deferred
 	e.deferred = e.deferredSpare[:0]
 	for _, d := range pending {
-		switch {
-		case d.parent.killed:
-		case e.initiateFrom(now, d.chain, d.parent) == nil:
-			e.deferred = push(e.deferred, d) // keeps its parent reference
-			continue
+		if !d.parent.killed {
+			q, ok := e.admit(now, d.chain, d.q)
+			if !ok {
+				if q != nil {
+					d.q = q
+				}
+				e.deferred = push(e.deferred, d) // keeps its parent reference
+				continue
+			}
+			e.launch(now, d.chain, q, d.parent, nil)
 		}
 		e.drop(d.parent)
 	}
 	clear(pending)
 	e.deferredSpare = pending[:0]
+	e.deferredStale = false
 }
 
 // issue schedules ready chain micro-ops onto the DCE's functional units
 // (or the core's spare slots for Core-Only). ALU micro-ops consume the
 // DCE's own issue bandwidth; loads consume load ports backed by the shared
-// D-cache (Figure 7: ALU0/ALU1 plus the D-cache path). It runs only while
-// some instance is awake; a pass that ends on exhausted bandwidth leaves
-// the engine awake.
+// D-cache (Figure 7: ALU0/ALU1 plus the D-cache path). It walks issueQ in
+// id order and each instance's ready micro-ops in index order. An instance
+// leaves the list when it has none left, and a pass that runs out of
+// bandwidth leaves the rest of the list for the next cycle.
 func (e *DCE) issue(now uint64) {
-	if !e.awake {
+	if len(e.issueQ) == 0 {
 		return
 	}
 	budget := e.cfg.IssueWidth
@@ -896,55 +1102,43 @@ func (e *DCE) issue(now uint64) {
 		budget = e.spareIssue
 	}
 	loads := e.cfg.LoadPorts
-	if budget <= 0 && loads <= 0 {
-		return
-	}
-	awake := false
-	for _, in := range e.run {
+	k, j := 0, 0
+	for ; j < len(e.issueQ); j++ {
 		if budget <= 0 && loads <= 0 {
-			return
+			break
 		}
-		if in.done() || !in.wake || in.unissued == 0 {
+		r := e.issueQ[j]
+		in := r.in
+		if !r.live() || in.done() {
 			continue
 		}
-		stalled := true // no ready-but-unissued micro-op left behind
-		for i := range in.chain.Uops {
-			if in.issued[i] {
-				continue
-			}
+		for i := in.readyUops.next(0); i >= 0; i = in.readyUops.next(i + 1) {
 			u := &in.chain.Uops[i]
-			if e.cfg.InOrderChainExec && i > 0 && !in.issued[i-1] {
-				break
-			}
-			if !e.srcsReady(in, u) {
-				if e.cfg.InOrderChainExec {
-					break
-				}
-				continue
-			}
 			if u.Op == isa.OpLd {
 				if loads <= 0 {
-					stalled = false // retry when a port frees
-					continue
+					continue // retry when a port frees
 				}
 				loads--
 			} else {
 				if budget <= 0 {
-					stalled = false
 					continue
 				}
 				budget--
 			}
+			in.readyUops.remove(i)
 			e.executeUop(now, in, i, u)
+			if e.cfg.InOrderChainExec && e.uopReady(in, i+1) {
+				in.readyUops.add(i + 1) // in stays listed: its set is not empty
+			}
 		}
-		// Sleep until an execution or live-in arrival wakes us.
-		if stalled {
-			in.wake = false
-		} else {
-			awake = true
+		if !in.readyUops.empty() {
+			e.issueQ[k] = r
+			k++
 		}
 	}
-	e.awake = awake
+	n := k + copy(e.issueQ[k:], e.issueQ[j:])
+	clear(e.issueQ[n:])
+	e.issueQ = e.issueQ[:n]
 }
 
 func (e *DCE) srcsReady(in *Instance, u *ChainUop) bool {
@@ -958,11 +1152,11 @@ func (e *DCE) srcsReady(in *Instance, u *ChainUop) bool {
 }
 
 // executeUop computes a chain micro-op's value functionally (against
-// committed memory) and models its latency.
+// committed memory) and models its latency, queueing its completion.
 func (e *DCE) executeUop(now uint64, in *Instance, i int, u *ChainUop) {
 	in.issued[i] = true
-	in.inflight = push(in.inflight, i)
 	in.unissued--
+	var doneAt uint64
 	e.ctr.uopsIssued.Inc()
 	switch u.Op {
 	case isa.OpLd:
@@ -979,7 +1173,7 @@ func (e *DCE) executeUop(now uint64, in *Instance, i int, u *ChainUop) {
 		if e.dtlb != nil {
 			start = e.dtlb.Translate(now, addr)
 		}
-		in.doneAt[i] = e.dcache.AccessSecondary(start, addr)
+		doneAt = e.dcache.AccessSecondary(start, addr)
 		e.ctr.loadsIssued.Inc()
 	case isa.OpCmp:
 		b := in.val(u.Src2)
@@ -987,17 +1181,17 @@ func (e *DCE) executeUop(now uint64, in *Instance, i int, u *ChainUop) {
 			b = uint64(u.Imm)
 		}
 		in.vals[u.Dst] = isa.CompareFlags(in.val(u.Src1), b).Pack()
-		in.doneAt[i] = now + 1
+		doneAt = now + 1
 	case isa.OpTest:
 		b := in.val(u.Src2)
 		if u.UseImm {
 			b = uint64(u.Imm)
 		}
 		in.vals[u.Dst] = isa.TestFlags(in.val(u.Src1), b).Pack()
-		in.doneAt[i] = now + 1
+		doneAt = now + 1
 	case isa.OpBr:
 		in.outcomes[i] = u.Cond.Eval(isa.UnpackFlags(in.val(u.Src1)))
-		in.doneAt[i] = now + 1
+		doneAt = now + 1
 	default:
 		b := in.val(u.Src2)
 		if u.UseImm {
@@ -1008,9 +1202,9 @@ func (e *DCE) executeUop(now uint64, in *Instance, i int, u *ChainUop) {
 		if u.Op == isa.OpMul {
 			lat = 3
 		}
-		in.doneAt[i] = now + lat
+		doneAt = now + lat
 	}
-	e.nextDone = min(e.nextDone, in.doneAt[i])
+	e.doneQ.push(event{key: doneAt, instRef: instRef{in, in.id}, uop: i})
 }
 
 // compact drops killed instances from the head of the trigger list (done

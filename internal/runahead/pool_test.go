@@ -2,6 +2,7 @@ package runahead
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,9 +16,9 @@ import (
 // TestDCEPoolInvariants drives Mini and Big over four kernels at the golden
 // test's budget (SmallScale, 70k instructions) and checks the engine's
 // host-side invariants after every core cycle. The simulated results
-// cannot show these: a missed scan-skip arming site or a leaked instance
-// changes host time and memory, not cycles. After a quiesce no instance
-// may be live.
+// cannot always show these: a leaked instance changes host memory, not
+// cycles, and a missed wakeup may delay a micro-op only where no counter
+// looks. After a quiesce no instance may be live.
 func TestDCEPoolInvariants(t *testing.T) {
 	const budget = 70_000
 	for _, cfg := range []Config{Mini(), Big()} {
@@ -31,11 +32,10 @@ func TestDCEPoolInvariants(t *testing.T) {
 			sys := New(cfg, hier.DCache, c.Memory())
 			c.SetExtension(sys)
 			where := cfg.Name + "/" + name
-			var done, prevDone []uint64
+			var queued []uint64
 			for c.Ctr.Retired.Get() < budget && !c.Halted() {
 				c.Cycle()
-				done = checkPool(t, sys.dce, prevDone, done[:0], where)
-				prevDone, done = done, prevDone
+				queued = checkPool(t, sys.dce, queued[:0], where)
 			}
 			if sys.dce.C.Get("completions") == 0 {
 				t.Fatalf("%s: no chain instance completed", where)
@@ -96,18 +96,13 @@ func (e *DCE) quiesce(now uint64) error {
 	for len(e.all) > 0 {
 		e.popAll()
 	}
-	for _, in := range e.run {
-		e.drop(in)
-	}
-	clear(e.run)
-	e.run = e.run[:0]
 	for _, d := range e.deferred {
 		e.drop(d.parent)
 	}
 	clear(e.deferred)
 	e.deferred = e.deferred[:0]
 	e.activeRun = 0
-	e.resetScans()
+	e.resetQueues()
 	for _, q := range e.pqs.queues {
 		if q.assigned {
 			q.reset(now)
@@ -120,51 +115,111 @@ func (e *DCE) quiesce(now uint64) error {
 	return nil
 }
 
-// resetScans clears the scan-skip flags of an engine with no instances.
-func (e *DCE) resetScans() {
-	e.runDirty, e.pendingDirty, e.awake = false, false, false
-	e.nextDone = 0
+// resetQueues clears the event queues of an engine with no instances.
+func (e *DCE) resetQueues() {
+	for _, q := range []*eventHeap{&e.resolveQ, &e.doneQ} {
+		clear(*q)
+		*q = (*q)[:0]
+	}
+	clear(e.issueQ)
+	e.issueQ = e.issueQ[:0]
+	e.deferredStale = false
+}
+
+// The two selections below are the scans the event queues replaced:
+// resolvePending used to walk every pending live-in of every instance, and
+// issue every chain from micro-op 0. They stay here as the reference the
+// queues must agree with.
+
+// scanResolvable reports whether the resolvePending scan would act on one
+// of in's pending live-ins: its producer was killed or the local it waits
+// for is ready.
+func scanResolvable(in *Instance) bool {
+	for _, p := range in.pending {
+		if p.src != nil && (p.src.killed || p.src.ready[p.srcLocal]) {
+			return true
+		}
+	}
+	return false
+}
+
+// scanIssuable returns the micro-ops of in the issue scan would have
+// issued, bandwidth permitting: the unissued ones whose sources are ready,
+// and under InOrderChainExec only the first unissued one.
+func scanIssuable(e *DCE, in *Instance) uopSet {
+	var s uopSet
+	for i := range in.chain.Uops {
+		if in.issued[i] {
+			continue
+		}
+		if e.cfg.InOrderChainExec && i > 0 && !in.issued[i-1] {
+			break
+		}
+		if !e.srcsReady(in, &in.chain.Uops[i]) {
+			if e.cfg.InOrderChainExec {
+				break
+			}
+			continue
+		}
+		s.add(i)
+	}
+	return s
+}
+
+// listed reports whether the id-ordered list refs holds in.
+func listed(refs []instRef, in *Instance) bool {
+	i, found := slices.BinarySearchFunc(refs, in.id, cmpRefID)
+	return found && refs[i].in == in
 }
 
 // checkPool asserts, for the end of one core cycle:
-//   - run holds no instance that was already done when the previous cycle
-//     ended (prevDone, ascending ids), so a done entry never outlives one
-//     compaction;
-//   - the not-done entries of run number exactly activeRun;
-//   - no instance on the free list is held by all, run or deferred: every
+//   - the not-done entries of all number exactly activeRun;
+//   - no instance on the free list is held by all or deferred: every
 //     holder has a positive reference count and every free instance a zero
-//     one, so no instance can be both.
+//     one, so no instance can be both;
+//   - the event queues agree with the scans they replaced: issueQ is in id
+//     order; every not-done instance's ready set is what scanIssuable
+//     selects, and one that is not empty is on issueQ; and a not-done
+//     instance with a pending live-in whose producer is ready or killed is
+//     on resolveQ.
 //
-// It appends the ids of the done instances now in run to done and returns
-// it. Ids, not pointers, identify instances: a pointer is reused by the
-// pool.
-func checkPool(t *testing.T, e *DCE, prevDone, done []uint64, where string) []uint64 {
+// queued is scratch for resolveQ's ids; checkPool returns it for reuse.
+// Ids, not pointers, identify instances: a pointer is reused by the pool.
+func checkPool(t *testing.T, e *DCE, queued []uint64, where string) []uint64 {
 	t.Helper()
-	notDone, j := 0, 0
-	for _, in := range e.run {
-		// run is in initiation order, so its ids ascend like prevDone's.
-		for j < len(prevDone) && prevDone[j] < in.id {
-			j++
-		}
-		if j < len(prevDone) && prevDone[j] == in.id {
-			t.Fatalf("%s: instance %d stayed in run a cycle after it was done", where, in.id)
-		}
-		if in.done() {
-			done = append(done, in.id)
-		} else {
-			notDone++
-		}
-		if in.refs <= 0 {
-			t.Fatalf("%s: run holds instance %d with %d references", where, in.id, in.refs)
+	for i := 1; i < len(e.issueQ); i++ {
+		if e.issueQ[i-1].id >= e.issueQ[i].id {
+			t.Fatalf("%s: issue list out of id order: %d before %d", where, e.issueQ[i-1].id, e.issueQ[i].id)
 		}
 	}
-	if notDone != e.activeRun {
-		t.Fatalf("%s: run has %d live entries, activeRun is %d", where, notDone, e.activeRun)
+	for _, ev := range e.resolveQ {
+		if ev.live() {
+			queued = append(queued, ev.id)
+		}
 	}
+	slices.Sort(queued)
+	notDone := 0
 	for _, in := range e.all {
 		if in.refs <= 0 {
 			t.Fatalf("%s: all holds instance %d with %d references", where, in.id, in.refs)
 		}
+		if in.done() {
+			continue
+		}
+		notDone++
+		ref := scanIssuable(e, in)
+		if in.readyUops != ref {
+			t.Fatalf("%s: instance %d ready set %x, the issue scan selects %x", where, in.id, in.readyUops, ref)
+		}
+		if !ref.empty() && !listed(e.issueQ, in) {
+			t.Fatalf("%s: instance %d has an issuable micro-op and is not on the issue list", where, in.id)
+		}
+		if _, ok := slices.BinarySearch(queued, in.id); scanResolvable(in) && !ok {
+			t.Fatalf("%s: instance %d has a resolvable live-in and is not queued for resolution", where, in.id)
+		}
+	}
+	if notDone != e.activeRun {
+		t.Fatalf("%s: all has %d live entries, activeRun is %d", where, notDone, e.activeRun)
 	}
 	for _, d := range e.deferred {
 		if d.parent.refs <= 0 {
@@ -176,5 +231,5 @@ func checkPool(t *testing.T, e *DCE, prevDone, done []uint64, where string) []ui
 			t.Fatalf("%s: free instance %d has %d references", where, in.id, in.refs)
 		}
 	}
-	return done
+	return queued
 }

@@ -136,6 +136,17 @@ func (s *PQSet) Ensure(pc uint64, now uint64) *Queue {
 	return victim
 }
 
+// ensureVia is Ensure for a caller that found pc's queue before: while
+// hint is still assigned to pc it is the queue Ensure would return, so only
+// Ensure's hit path (the lastUse stamp) runs and the map is not read.
+func (s *PQSet) ensureVia(hint *Queue, pc uint64, now uint64) *Queue {
+	if hint != nil && hint.assigned && hint.branchPC == pc {
+		hint.lastUse = now
+		return hint
+	}
+	return s.Ensure(pc, now)
+}
+
 // pqCheckpoint snapshots every queue's fetch pointer (taken at each
 // conditional branch fetch; restored on recovery). Generations guard
 // against queues that were reset or reassigned in between.
