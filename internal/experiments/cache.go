@@ -25,14 +25,21 @@ import (
 // different filenames and are simply recomputed.
 const resultStateVersion = 1
 
-// cacheID content-addresses one run: the suite key plus everything that
-// changes the bytes a run produces — the envelope format, the Result codec
-// version and WarmupBarrier mode (whose boundary drain and deferred BR
-// attach are observable in the result). The mode suffix is appended only
-// when the mode is on.
+// cacheID content-addresses one run: the suite key plus everything else
+// that changes the bytes a run produces — the envelope format, the Result
+// codec version, the warmup budget, the workload scale, the predictor, the
+// Branch Runahead configuration and WarmupBarrier mode (whose boundary
+// drain and deferred BR attach are observable in the result). The key
+// names only the workload, the variant and the measured budget, so without
+// the rest two suites that differ in warmup or scale would share entries.
+// The BR and mode parts are appended only when they are set.
 func (s *Suite) cacheID(key string, cfg sim.Config) string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|fmt%d|res%d", key, brstate.FormatVersion, resultStateVersion)
+	fmt.Fprintf(h, "%s|fmt%d|res%d|warm%d|scale%+v|pred%s", key, brstate.FormatVersion,
+		resultStateVersion, cfg.Warmup, s.opts.Scale, cfg.Predictor)
+	if cfg.BR != nil {
+		fmt.Fprintf(h, "|br%+v", *cfg.BR)
+	}
 	if cfg.WarmupBarrier {
 		fmt.Fprintf(h, "|warmbar1")
 	}

@@ -101,6 +101,55 @@ func TestCorruptCacheEntryRecomputed(t *testing.T) {
 	}
 }
 
+// TestCacheAddressCoversRunInputs: the run key names the workload, the
+// variant and the measured budget, and nothing else. Two suites over one
+// cache directory that differ only in warmup budget or only in workload
+// scale must therefore not share entries, and a point's address must change
+// with the predictor and Branch Runahead configuration behind its key.
+func TestCacheAddressCoversRunInputs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	for _, tc := range []struct {
+		name   string
+		change func(*Options)
+	}{
+		{"warmup", func(o *Options) { o.Warmup += 5_000 }},
+		{"scale", func(o *Options) { o.Scale.Seed++ }},
+	} {
+		dir := t.TempDir()
+		o := cacheTestOptions(dir)
+		if _, err := NewSuite(o).run("mcf_17", vTage64(), o.Instrs); err != nil {
+			t.Fatal(err)
+		}
+		tc.change(&o)
+		other := NewSuite(o)
+		if _, err := other.run("mcf_17", vTage64(), o.Instrs); err != nil {
+			t.Fatal(err)
+		}
+		if n := other.RunsExecuted(); n != 1 {
+			t.Errorf("%s: a suite differing only in %s executed %d simulations, want 1", tc.name, tc.name, n)
+		}
+		if entries, _ := filepath.Glob(filepath.Join(dir, "run-*.brres")); len(entries) != 2 {
+			t.Errorf("%s: %d cache entries, want 2", tc.name, len(entries))
+		}
+	}
+
+	s := NewSuite(cacheTestOptions(t.TempDir()))
+	mini, big := runahead.Mini(), runahead.Big()
+	cfg := s.simConfig(vBR("mini", mini), 40_000)
+	id := s.cacheID("mcf_17/mini/40000", cfg)
+	cfg.BR = &big
+	if s.cacheID("mcf_17/mini/40000", cfg) == id {
+		t.Error("changing the BR configuration behind a key kept its cache address")
+	}
+	cfg.BR = &mini
+	cfg.Predictor = vMTage().pred
+	if s.cacheID("mcf_17/mini/40000", cfg) == id {
+		t.Error("changing the predictor behind a key kept its cache address")
+	}
+}
+
 // TestResultCodecRoundTrip pins the Result serialization on a real runahead
 // result (maps, chain dumps, activity, breakdown all populated) and on a
 // baseline one (nil Breakdown and ChainDumps preserved).
