@@ -62,6 +62,8 @@ func TestParseArgsAcceptsDocumentedUsage(t *testing.T) {
 		"-quick -j 1",
 		"-quick -j 4 -cache-dir brcache",
 		"-quick -j 2 -cache-dir brcache",
+		"-quick -share-warmup -j 1",
+		"-quick -share-warmup -j 4",
 		"-quick -workload mcf_17 -br mini",
 		"-workload trace:leela_17.btr -warmup 20000 -instrs 60000",
 	)
