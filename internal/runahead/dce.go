@@ -971,19 +971,16 @@ func (e *DCE) completeExecution(now uint64) {
 		due = push(due, e.doneQ.pop())
 	}
 	slices.SortFunc(due, func(a, b event) int { return cmp.Compare(a.id, b.id) })
-	skip := instRef{}
+	skip := false
 	for k, ev := range due {
 		in := ev.in
-		if ev.instRef == skip {
-			continue
-		}
 		if k == 0 || ev.id != due[k-1].id {
-			// First due result of this instance: skip it whole when it was
+			// First due result of this instance: skip them all when it was
 			// already done, or recycled.
-			if !ev.live() || in.done() {
-				skip = ev.instRef
-				continue
-			}
+			skip = !ev.live() || in.done()
+		}
+		if skip {
+			continue
 		}
 		i := ev.uop
 		u := &in.chain.Uops[i]

@@ -166,12 +166,6 @@ func scanIssuable(e *DCE, in *Instance) uopSet {
 	return s
 }
 
-// listed reports whether the id-ordered list refs holds in.
-func listed(refs []instRef, in *Instance) bool {
-	i, found := slices.BinarySearchFunc(refs, in.id, cmpRefID)
-	return found && refs[i].in == in
-}
-
 // checkPool asserts, for the end of one core cycle:
 //   - the not-done entries of all number exactly activeRun;
 //   - no instance on the free list is held by all or deferred: every
@@ -198,7 +192,9 @@ func checkPool(t *testing.T, e *DCE, queued []uint64, where string) []uint64 {
 		}
 	}
 	slices.Sort(queued)
-	notDone := 0
+	// all, issueQ and queued are in id order, so one merge walk finds each
+	// instance's entries.
+	notDone, iq, rq := 0, 0, 0
 	for _, in := range e.all {
 		if in.refs <= 0 {
 			t.Fatalf("%s: all holds instance %d with %d references", where, in.id, in.refs)
@@ -207,14 +203,20 @@ func checkPool(t *testing.T, e *DCE, queued []uint64, where string) []uint64 {
 			continue
 		}
 		notDone++
+		for iq < len(e.issueQ) && e.issueQ[iq].id < in.id {
+			iq++
+		}
+		for rq < len(queued) && queued[rq] < in.id {
+			rq++
+		}
 		ref := scanIssuable(e, in)
 		if in.readyUops != ref {
 			t.Fatalf("%s: instance %d ready set %x, the issue scan selects %x", where, in.id, in.readyUops, ref)
 		}
-		if !ref.empty() && !listed(e.issueQ, in) {
+		if listed := iq < len(e.issueQ) && e.issueQ[iq].id == in.id; !ref.empty() && !listed {
 			t.Fatalf("%s: instance %d has an issuable micro-op and is not on the issue list", where, in.id)
 		}
-		if _, ok := slices.BinarySearch(queued, in.id); scanResolvable(in) && !ok {
+		if ok := rq < len(queued) && queued[rq] == in.id; scanResolvable(in) && !ok {
 			t.Fatalf("%s: instance %d has a resolvable live-in and is not queued for resolution", where, in.id)
 		}
 	}
