@@ -1058,13 +1058,38 @@ func (e *DCE) retryDeferred(now uint64) {
 		e.ctr.initWindowFull.Add(uint64(len(e.deferred)))
 		return
 	}
-	// Detach the list first: a successful initiation can defer new child
-	// initiations, which must land on a fresh list rather than be lost to
-	// aliasing. The detached backing becomes next Tick's spare, so the two
-	// arrays ping-pong with no per-cycle allocation.
-	pending := e.deferred
-	e.deferred = e.deferredSpare[:0]
-	for _, d := range pending {
+	// The leading entries whose queue is still theirs and still full are
+	// refused as admit would refuse them, in place: nothing launches before
+	// the first entry that may.
+	old := e.deferred
+	k, i := 0, 0
+	for ; i < len(old); i++ {
+		d := old[i]
+		if d.parent.killed {
+			e.drop(d.parent)
+			continue
+		}
+		if q := d.q; q == nil || !q.assigned || q.branchPC != d.chain.BranchPC || !q.full() {
+			break
+		}
+		d.q.lastUse = now // Ensure's hit path
+		e.ctr.initQueueFull.Inc()
+		old[k] = d
+		k++
+	}
+	e.deferredStale = false
+	if i == len(old) {
+		clear(old[k:])
+		e.deferred = old[:k]
+		return
+	}
+	// From here on an entry may launch, and a launch can defer new child
+	// initiations. They must land after the entries kept so far, in a list
+	// built apart from the one being walked. The old backing becomes next
+	// pass's spare, so the two arrays ping-pong and grow only to the
+	// longest list.
+	e.deferred = append(e.deferredSpare[:0], old[:k]...) //brlint:allow hot-path-alloc
+	for _, d := range old[i:] {
 		if !d.parent.killed {
 			q, ok := e.admit(now, d.chain, d.q)
 			if !ok {
@@ -1078,9 +1103,8 @@ func (e *DCE) retryDeferred(now uint64) {
 		}
 		e.drop(d.parent)
 	}
-	clear(pending)
-	e.deferredSpare = pending[:0]
-	e.deferredStale = false
+	clear(old)
+	e.deferredSpare = old[:0]
 }
 
 // issue schedules ready chain micro-ops onto the DCE's functional units
