@@ -76,9 +76,11 @@ type instState struct {
 	// so the walks over those references skip the concrete entries.
 	envSrcs uint64
 	pending []pendingLiveIn
-	// waiters heads the list of pending live-ins waiting on this
-	// instance's locals.
-	waiters *pendingLiveIn
+	// waiters and waitersTail bound the list of pending live-ins waiting
+	// on this instance's locals, in the order their consumers launched,
+	// which is id order. Their consumers are then queued for resolution in
+	// id order, which appends to resolveQ.
+	waiters, waitersTail *pendingLiveIn
 
 	q       *Queue
 	slotIdx uint64
@@ -127,14 +129,16 @@ func (in *Instance) val(l int) uint64 {
 	return in.vals[l]
 }
 
-// addWaiter links p, a pending live-in waiting on one of in's locals, into
+// addWaiter appends p, a pending live-in waiting on one of in's locals, to
 // in's waiter list.
 func (in *Instance) addWaiter(p *pendingLiveIn) {
-	p.prev, p.next = nil, in.waiters
-	if in.waiters != nil {
-		in.waiters.prev = p
+	p.prev, p.next = in.waitersTail, nil
+	if in.waitersTail != nil {
+		in.waitersTail.next = p
+	} else {
+		in.waiters = p
 	}
-	in.waiters = p
+	in.waitersTail = p
 }
 
 // removeWaiter unlinks p from in's waiter list.
@@ -146,6 +150,8 @@ func (in *Instance) removeWaiter(p *pendingLiveIn) {
 	}
 	if p.next != nil {
 		p.next.prev = p.prev
+	} else {
+		in.waitersTail = p.prev
 	}
 	p.prev, p.next = nil, nil
 }
@@ -207,8 +213,8 @@ func insertRef(refs []instRef, in *Instance) []instRef {
 
 func cmpRefID(r instRef, id uint64) int { return cmp.Compare(r.id, id) }
 
-// event is an entry of the engine's event heaps: an instRef, a micro-op
-// index and the key the heap orders by.
+// event is an entry of the completion heap: an instRef, a micro-op index
+// and the key the heap orders by.
 type event struct {
 	key uint64
 	instRef
@@ -315,17 +321,17 @@ type DCE struct {
 	famBuf   []uint64
 
 	// The events a Tick acts on, so that no phase scans the instances.
-	// resolveQ is a heap, keyed by id, of the consumers whose pending
-	// live-ins a producer event may resolve: a local became ready or the
-	// producer was killed. doneQ is a heap of the issued micro-ops keyed by
-	// the cycle their result is ready. issueQ lists the instances with a
-	// ready micro-op in id order. All hold uncounted instRefs; an entry
-	// whose instance is done or was recycled is skipped and dropped.
-	// doneBuf is completeExecution's scratch.
-	resolveQ eventHeap
+	// resolveQ lists, in id order, the consumers whose pending live-ins a
+	// producer event may resolve: a local became ready or the producer was
+	// killed. issueQ lists the instances with a ready micro-op in id order.
+	// doneQ is a heap of the issued micro-ops keyed by the cycle their
+	// result is ready. All hold uncounted instRefs; an entry whose instance
+	// is done or was recycled is skipped and dropped. doneBuf is
+	// completeExecution's scratch.
+	resolveQ []instRef
+	issueQ   []instRef
 	doneQ    eventHeap
 	doneBuf  []event
-	issueQ   []instRef
 
 	C *stats.Counters
 	// Dense handles for the engine's per-event counters; the values live in C.
@@ -509,7 +515,7 @@ func (e *DCE) markKilled(in *Instance) {
 
 // queueResolve queues consumer in for the next resolvePending pass.
 func (e *DCE) queueResolve(in *Instance) {
-	e.resolveQ.push(event{key: in.id, instRef: instRef{in, in.id}})
+	e.resolveQ = insertRef(e.resolveQ, in)
 }
 
 // admit performs initiation's capacity checks — instance window and
@@ -885,16 +891,15 @@ func (e *DCE) Tick(now uint64, spareIssue, spareRS int) {
 
 // resolvePending copies producer locals into the pending live-ins of the
 // queued consumers, in id order. Resolving one consumer can queue younger
-// ones (a new local, or a kill); they are resolved later in the same pass.
+// ones (a new local, or a kill); they land after it in resolveQ and are
+// resolved later in the same pass.
 func (e *DCE) resolvePending(now uint64) {
-	prev := instRef{}
-	for len(e.resolveQ) > 0 {
-		r := e.resolveQ.pop().instRef
+	for k := 0; k < len(e.resolveQ); k++ {
+		r := e.resolveQ[k]
 		in := r.in
-		if r == prev || !r.live() || in.done() {
-			continue // queued twice, recycled or done
+		if !r.live() || in.done() {
+			continue // recycled or done
 		}
-		prev = r
 		for j := range in.pending {
 			p := &in.pending[j]
 			src := p.src
@@ -914,6 +919,8 @@ func (e *DCE) resolvePending(now uint64) {
 			e.drop(src)
 		}
 	}
+	clear(e.resolveQ)
+	e.resolveQ = e.resolveQ[:0]
 }
 
 // publish marks local l of in ready. It wakes in's micro-ops that read l,
@@ -1058,50 +1065,43 @@ func (e *DCE) retryDeferred(now uint64) {
 		e.ctr.initWindowFull.Add(uint64(len(e.deferred)))
 		return
 	}
-	// The leading entries whose queue is still theirs and still full are
-	// refused as admit would refuse them, in place: nothing launches before
-	// the first entry that may.
+	// Refused entries stay in place until the first launch. A launch can
+	// defer new child initiations, which must land after the entries kept
+	// so far, in a list built apart from the one being walked; so the first
+	// launch moves the kept entries to the spare array, and the old backing
+	// becomes next pass's spare. The two arrays ping-pong and grow only to
+	// the longest list.
 	old := e.deferred
-	k, i := 0, 0
-	for ; i < len(old); i++ {
-		d := old[i]
-		if d.parent.killed {
-			e.drop(d.parent)
-			continue
-		}
-		if q := d.q; q == nil || !q.assigned || q.branchPC != d.chain.BranchPC || !q.full() {
-			break
-		}
-		d.q.lastUse = now // Ensure's hit path
-		e.ctr.initQueueFull.Inc()
-		old[k] = d
-		k++
-	}
-	e.deferredStale = false
-	if i == len(old) {
-		clear(old[k:])
-		e.deferred = old[:k]
-		return
-	}
-	// From here on an entry may launch, and a launch can defer new child
-	// initiations. They must land after the entries kept so far, in a list
-	// built apart from the one being walked. The old backing becomes next
-	// pass's spare, so the two arrays ping-pong and grow only to the
-	// longest list.
-	e.deferred = append(e.deferredSpare[:0], old[:k]...) //brlint:allow hot-path-alloc
-	for _, d := range old[i:] {
+	k, inPlace := 0, true
+	e.deferredStale = false // the walk drops every dead parent
+	for _, d := range old {
 		if !d.parent.killed {
 			q, ok := e.admit(now, d.chain, d.q)
 			if !ok {
 				if q != nil {
 					d.q = q
 				}
-				e.deferred = push(e.deferred, d) // keeps its parent reference
+				// Either way the entry keeps its parent reference.
+				if inPlace {
+					old[k] = d
+					k++
+				} else {
+					e.deferred = push(e.deferred, d)
+				}
 				continue
+			}
+			if inPlace {
+				e.deferred = append(e.deferredSpare[:0], old[:k]...) //brlint:allow hot-path-alloc
+				inPlace = false
 			}
 			e.launch(now, d.chain, q, d.parent, nil)
 		}
 		e.drop(d.parent)
+	}
+	if inPlace {
+		clear(old[k:])
+		e.deferred = old[:k]
+		return
 	}
 	clear(old)
 	e.deferredSpare = old[:0]

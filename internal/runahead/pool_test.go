@@ -2,7 +2,6 @@ package runahead
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"testing"
 
@@ -13,15 +12,20 @@ import (
 	"repro/internal/workloads"
 )
 
-// TestDCEPoolInvariants drives Mini and Big over four kernels at the golden
-// test's budget (SmallScale, 70k instructions) and checks the engine's
-// host-side invariants after every core cycle. The simulated results
-// cannot always show these: a leaked instance changes host memory, not
-// cycles, and a missed wakeup may delay a micro-op only where no counter
-// looks. After a quiesce no instance may be live.
+// TestDCEPoolInvariants drives Mini, Big and Mini with in-order chain
+// execution over four kernels at the golden test's budget (SmallScale, 70k
+// instructions) and checks the engine's host-side invariants after every
+// core cycle. The simulated results cannot always show these: a leaked
+// instance changes host memory, not cycles, and a missed wakeup may delay a
+// micro-op only where no counter looks. The in-order ablation wakes its
+// micro-ops by other rules than out-of-order issue, and no golden point
+// runs it. After a quiesce no instance may be live.
 func TestDCEPoolInvariants(t *testing.T) {
 	const budget = 70_000
-	for _, cfg := range []Config{Mini(), Big()} {
+	inOrder := Mini()
+	inOrder.Name = "mini-in-order"
+	inOrder.InOrderChainExec = true
+	for _, cfg := range []Config{Mini(), Big(), inOrder} {
 		for _, name := range []string{"mcf_17", "leela_17", "omnetpp_06", "tc"} {
 			w, err := workloads.ByName(name, workloads.SmallScale())
 			if err != nil {
@@ -32,10 +36,9 @@ func TestDCEPoolInvariants(t *testing.T) {
 			sys := New(cfg, hier.DCache, c.Memory())
 			c.SetExtension(sys)
 			where := cfg.Name + "/" + name
-			var queued []uint64
 			for c.Ctr.Retired.Get() < budget && !c.Halted() {
 				c.Cycle()
-				queued = checkPool(t, sys.dce, queued[:0], where)
+				checkPool(t, sys.dce, where)
 			}
 			if sys.dce.C.Get("completions") == 0 {
 				t.Fatalf("%s: no chain instance completed", where)
@@ -117,12 +120,12 @@ func (e *DCE) quiesce(now uint64) error {
 
 // resetQueues clears the event queues of an engine with no instances.
 func (e *DCE) resetQueues() {
-	for _, q := range []*eventHeap{&e.resolveQ, &e.doneQ} {
+	for _, q := range []*[]instRef{&e.resolveQ, &e.issueQ} {
 		clear(*q)
 		*q = (*q)[:0]
 	}
-	clear(e.issueQ)
-	e.issueQ = e.issueQ[:0]
+	clear(e.doneQ)
+	e.doneQ = e.doneQ[:0]
 	e.deferredStale = false
 }
 
@@ -171,29 +174,28 @@ func scanIssuable(e *DCE, in *Instance) uopSet {
 //   - no instance on the free list is held by all or deferred: every
 //     holder has a positive reference count and every free instance a zero
 //     one, so no instance can be both;
-//   - the event queues agree with the scans they replaced: issueQ is in id
-//     order; every not-done instance's ready set is what scanIssuable
-//     selects, and one that is not empty is on issueQ; and a not-done
-//     instance with a pending live-in whose producer is ready or killed is
-//     on resolveQ.
+//   - the event queues agree with the scans they replaced: issueQ and
+//     resolveQ are in id order; every not-done instance's ready set is
+//     what scanIssuable selects, and one that is not empty is on issueQ;
+//     and a not-done instance with a pending live-in whose producer is
+//     ready or killed is on resolveQ.
 //
-// queued is scratch for resolveQ's ids; checkPool returns it for reuse.
 // Ids, not pointers, identify instances: a pointer is reused by the pool.
-func checkPool(t *testing.T, e *DCE, queued []uint64, where string) []uint64 {
+func checkPool(t *testing.T, e *DCE, where string) {
 	t.Helper()
-	for i := 1; i < len(e.issueQ); i++ {
-		if e.issueQ[i-1].id >= e.issueQ[i].id {
-			t.Fatalf("%s: issue list out of id order: %d before %d", where, e.issueQ[i-1].id, e.issueQ[i].id)
+	for _, l := range []struct {
+		name string
+		refs []instRef
+	}{{"issue", e.issueQ}, {"resolution", e.resolveQ}} {
+		for i := 1; i < len(l.refs); i++ {
+			if l.refs[i-1].id >= l.refs[i].id {
+				t.Fatalf("%s: %s list out of id order: %d before %d", where, l.name, l.refs[i-1].id, l.refs[i].id)
+			}
 		}
 	}
-	for _, ev := range e.resolveQ {
-		if ev.live() {
-			queued = append(queued, ev.id)
-		}
-	}
-	slices.Sort(queued)
-	// all, issueQ and queued are in id order, so one merge walk finds each
-	// instance's entries.
+	// all, issueQ and resolveQ are in id order, so one merge walk finds
+	// each instance's entries. An entry whose instance was recycled keeps
+	// the old id, which no instance in all carries any more.
 	notDone, iq, rq := 0, 0, 0
 	for _, in := range e.all {
 		if in.refs <= 0 {
@@ -206,7 +208,7 @@ func checkPool(t *testing.T, e *DCE, queued []uint64, where string) []uint64 {
 		for iq < len(e.issueQ) && e.issueQ[iq].id < in.id {
 			iq++
 		}
-		for rq < len(queued) && queued[rq] < in.id {
+		for rq < len(e.resolveQ) && e.resolveQ[rq].id < in.id {
 			rq++
 		}
 		ref := scanIssuable(e, in)
@@ -216,7 +218,7 @@ func checkPool(t *testing.T, e *DCE, queued []uint64, where string) []uint64 {
 		if listed := iq < len(e.issueQ) && e.issueQ[iq].id == in.id; !ref.empty() && !listed {
 			t.Fatalf("%s: instance %d has an issuable micro-op and is not on the issue list", where, in.id)
 		}
-		if ok := rq < len(queued) && queued[rq] == in.id; scanResolvable(in) && !ok {
+		if queued := rq < len(e.resolveQ) && e.resolveQ[rq].id == in.id; scanResolvable(in) && !queued {
 			t.Fatalf("%s: instance %d has a resolvable live-in and is not queued for resolution", where, in.id)
 		}
 	}
@@ -233,5 +235,4 @@ func checkPool(t *testing.T, e *DCE, queued []uint64, where string) []uint64 {
 			t.Fatalf("%s: free instance %d has %d references", where, in.id, in.refs)
 		}
 	}
-	return queued
 }
