@@ -1051,60 +1051,55 @@ func (e *DCE) processTriggers(now uint64) {
 }
 
 // retryDeferred re-attempts initiations that previously hit a full window
-// or queue. A window full at the start of the pass stays full through it,
-// so then every live entry is refused at once; the list is walked only
-// when a kill may have left a dead parent in it.
+// or queue, through the admission check a first initiation takes. Dead
+// parents are dropped first, and only when a kill may have left one in the
+// list. A window full at the start of the pass stays full through it, so
+// then every entry is refused at once.
 func (e *DCE) retryDeferred(now uint64) {
 	if len(e.deferred) == 0 {
 		return
 	}
+	if e.deferredStale {
+		e.dropDeadDeferred()
+	}
 	if !e.windowFree() {
-		if e.deferredStale {
-			e.dropDeadDeferred()
-		}
 		e.ctr.initWindowFull.Add(uint64(len(e.deferred)))
 		return
 	}
 	// Refused entries stay in place until the first launch. A launch can
 	// defer new child initiations, which must land after the entries kept
 	// so far, in a list built apart from the one being walked; so the first
-	// launch moves the kept entries to the spare array, and the old backing
-	// becomes next pass's spare. The two arrays ping-pong and grow only to
-	// the longest list.
+	// launch moves the entries before it to the spare array, and the old
+	// backing becomes next pass's spare. The two arrays ping-pong and grow
+	// only to the longest list. A launch kills nothing, so no parent dies
+	// during the walk.
 	old := e.deferred
-	k, inPlace := 0, true
-	e.deferredStale = false // the walk drops every dead parent
-	for _, d := range old {
-		if !d.parent.killed {
-			q, ok := e.admit(now, d.chain, d.q)
-			if !ok {
-				if q != nil {
-					d.q = q
-				}
-				// Either way the entry keeps its parent reference.
-				if inPlace {
-					old[k] = d
-					k++
-				} else {
-					e.deferred = push(e.deferred, d)
-				}
-				continue
+	inPlace := true
+	for i, d := range old {
+		q, ok := e.admit(now, d.chain, d.q)
+		if !ok {
+			if q != nil {
+				d.q = q
 			}
+			// Either way the entry keeps its parent reference.
 			if inPlace {
-				e.deferred = append(e.deferredSpare[:0], old[:k]...) //brlint:allow hot-path-alloc
-				inPlace = false
+				old[i] = d
+			} else {
+				e.deferred = push(e.deferred, d)
 			}
-			e.launch(now, d.chain, q, d.parent, nil)
+			continue
 		}
+		if inPlace {
+			e.deferred = append(e.deferredSpare[:0], old[:i]...) //brlint:allow hot-path-alloc
+			inPlace = false
+		}
+		e.launch(now, d.chain, q, d.parent, nil)
 		e.drop(d.parent)
 	}
-	if inPlace {
-		clear(old[k:])
-		e.deferred = old[:k]
-		return
+	if !inPlace {
+		clear(old)
+		e.deferredSpare = old[:0]
 	}
-	clear(old)
-	e.deferredSpare = old[:0]
 }
 
 // issue schedules ready chain micro-ops onto the DCE's functional units
