@@ -1075,17 +1075,15 @@ func (e *DCE) retryDeferred(now uint64) {
 	// during the walk.
 	old := e.deferred
 	inPlace := true
-	for i, d := range old {
+	for i := range old {
+		d := &old[i]
 		q, ok := e.admit(now, d.chain, d.q)
 		if !ok {
 			if q != nil {
 				d.q = q
 			}
-			// Either way the entry keeps its parent reference.
-			if inPlace {
-				old[i] = d
-			} else {
-				e.deferred = push(e.deferred, d)
+			if !inPlace {
+				e.deferred = push(e.deferred, *d) // keeps its parent reference
 			}
 			continue
 		}
