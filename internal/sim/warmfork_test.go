@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/runahead"
 	"repro/internal/trace"
+	"repro/internal/workloads"
 )
 
 // forkCfg is the WarmupBarrier-mode config the fork tests share: small
@@ -22,47 +23,77 @@ func forkCfg(br *runahead.Config) Config {
 }
 
 // TestForkEqualsStraightThrough forks measure configs from one shared warmup
-// blob and requires each forked Result to deep-equal the straight-through
-// Run of the identical config — for every quick-suite workload, including a
-// fork whose measure partition (budget and BR config) differs from the
-// config that produced the blob.
+// and requires each forked Result to deep-equal the straight-through Run of
+// the identical config. It covers the quick-suite workloads executed and
+// replayed from recorded traces (so the trace position crosses the fork),
+// including a fork whose measure partition (budget and BR config) differs
+// from the config that warmed up, and one mcf_17 fork per registered
+// predictor.
 func TestForkEqualsStraightThrough(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
+	mini := runahead.Mini()
 	for _, name := range []string{"mcf_17", "leela_17", "bfs"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			mini := runahead.Mini()
+			requireForksEqual(t, mustWorkload(t, name), forkCfg(&mini))
+		})
+		t.Run(name+"/replay", func(t *testing.T) {
 			base := forkCfg(&mini)
-			blob, err := WarmupSnapshot(mustWorkload(t, name), base)
+			base.FrontEnd = FETrace
+			requireForksEqual(t, recordedWorkload(t, mustWorkload(t, name), base), base)
+		})
+	}
+	for _, pred := range PredictorNames() {
+		pred := pred
+		t.Run("mcf_17/"+pred, func(t *testing.T) {
+			k, err := ParsePredictor(pred)
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			big := runahead.Big()
-			other := forkCfg(&big)
-			other.MaxInstrs = 25_000
-			if WarmupKey(base) != WarmupKey(other) {
-				t.Fatalf("measure-only edits changed the warmup key:\n%q\n%q",
-					WarmupKey(base), WarmupKey(other))
-			}
-
-			for _, cfg := range []Config{base, other} {
-				straight, err := Run(mustWorkload(t, name), cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				forked, err := RunFromWarmup(mustWorkload(t, name), cfg, blob)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(straight, forked) {
-					t.Errorf("forked run diverged from straight-through:\nstraight: %+v\nforked:   %+v",
-						straight, forked)
-				}
-			}
+			base := forkCfg(&mini)
+			base.Predictor = k
+			requireForksEqual(t, mustWorkload(t, "mcf_17"), base)
 		})
+	}
+}
+
+// requireForksEqual warms w up once under base and forks base from it. For
+// the Table 1 predictor it also forks a config whose measure-only fields
+// differ (Big instead of Mini, a shorter budget). Each fork must deep-equal
+// the straight-through Run of the same config.
+func requireForksEqual(t *testing.T, w *workloads.Workload, base Config) {
+	t.Helper()
+	blob, err := WarmupSnapshot(w, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := []Config{base}
+	if base.Predictor == PredTage64 {
+		big := runahead.Big()
+		other := base
+		other.BR = &big
+		other.MaxInstrs = 25_000
+		if WarmupKey(base) != WarmupKey(other) {
+			t.Fatalf("measure-only edits changed the warmup key:\n%q\n%q",
+				WarmupKey(base), WarmupKey(other))
+		}
+		cfgs = append(cfgs, other)
+	}
+	for _, cfg := range cfgs {
+		straight, err := Run(w, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forked, err := RunFromWarmup(w, cfg, blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(straight, forked) {
+			t.Errorf("forked run diverged from straight-through:\nstraight: %+v\nforked:   %+v",
+				straight, forked)
+		}
 	}
 }
 
