@@ -96,12 +96,10 @@ type instState struct {
 	readyUops uopSet
 	unissued  int
 
-	// Predictive initiation bookkeeping. specDepth counts unresolved
-	// speculative initiations in this instance's ancestry; it bounds how
-	// deep the engine speculates through unresolved trigger outcomes.
+	// Predictive initiation bookkeeping: whether this instance's outcome
+	// was predicted to initiate directional successors, and the prediction.
 	specPredicted bool
 	predOut       bool
-	specDepth     int
 	// initiated tracks successor chains already launched from this
 	// instance, preventing double initiation between the early and
 	// completion trigger points. A linear list, not a map: an instance has
@@ -540,7 +538,7 @@ func (e *DCE) admit(now uint64, ch *Chain, hint *Queue) (*Queue, bool) {
 // built in place: a successor's is parent's overlaid with parent's
 // live-outs (global rename, Figure 8); a synchronized chain's, with parent
 // nil, holds the core's registers regs.
-func (e *DCE) launch(now uint64, ch *Chain, q *Queue, parent *Instance, regs *emu.RegFile) *Instance {
+func (e *DCE) launch(now uint64, ch *Chain, q *Queue, parent *Instance, regs *emu.RegFile) {
 	slot := q.alloc
 	*q.slot(slot) = pqSlot{}
 	q.alloc++
@@ -636,7 +634,6 @@ func (e *DCE) launch(now uint64, ch *Chain, q *Queue, parent *Instance, regs *em
 		})
 	}
 	e.onInitiated(now, in)
-	return in
 }
 
 // newInstance hands out an instance with a zeroed instState holding nvals
@@ -741,26 +738,19 @@ func (e *DCE) popAll() {
 
 // onInitiated fires the early (initiation-time) triggers of the configured
 // policy.
-// maxSpecDepth bounds how many unresolved speculative trigger outcomes an
-// initiation chain may stack. Beyond a few coin flips the probability that
-// a deeper instance survives is negligible, while the flush cost of being
-// wrong grows with the window.
-const maxSpecDepth = 12
-
 func (e *DCE) onInitiated(now uint64, in *Instance) {
 	if e.cfg.InitMode == NonSpeculative {
 		return
 	}
 	pc := in.chain.BranchPC
-	// Independent-early: wildcard successors don't care about the outcome;
-	// they inherit the parent's speculation depth.
+	// Independent-early: wildcard successors don't care about the outcome.
 	mark := len(e.chainBuf)
 	e.chainBuf = e.cc.Wildcards(e.chainBuf, pc)
 	for _, ch := range e.chainBuf[mark:] {
-		e.tryInitiateChild(now, in, ch, in.specDepth)
+		e.tryInitiateChild(now, in, ch)
 	}
 	e.truncChains(mark)
-	if e.cfg.InitMode == Predictive && in.specDepth < maxSpecDepth {
+	if e.cfg.InitMode == Predictive {
 		// Predict the outcome with the per-branch 3-bit counter and
 		// speculatively initiate directional successors. The speculation
 		// (and its flush-on-mispredict) only exists when directional
@@ -771,20 +761,19 @@ func (e *DCE) onInitiated(now uint64, in *Instance) {
 			in.specPredicted = true
 			in.predOut = predOut
 			for _, ch := range specs {
-				e.tryInitiateChild(now, in, ch, in.specDepth+1)
+				e.tryInitiateChild(now, in, ch)
 			}
 		}
 		e.truncChains(mark)
 	}
 }
 
-func (e *DCE) tryInitiateChild(now uint64, parent *Instance, ch *Chain, specDepth int) {
+func (e *DCE) tryInitiateChild(now uint64, parent *Instance, ch *Chain) {
 	if parent.hasInitiated(ch) {
 		return
 	}
 	if q, ok := e.admit(now, ch, nil); ok {
-		child := e.launch(now, ch, q, parent, nil)
-		child.specDepth = specDepth
+		e.launch(now, ch, q, parent, nil)
 		parent.initiated = push(parent.initiated, ch)
 	} else if len(e.deferred) < 64 {
 		parent.refs++
@@ -807,8 +796,7 @@ func (e *DCE) fireCompletionTriggers(now uint64, in *Instance) {
 	mark := len(e.chainBuf)
 	e.chainBuf = e.cc.Lookup(e.chainBuf, pc, in.outcome)
 	for _, ch := range e.chainBuf[mark:] {
-		// Completion-confirmed initiations carry no new speculation.
-		e.tryInitiateChild(now, in, ch, in.specDepth)
+		e.tryInitiateChild(now, in, ch)
 	}
 	e.truncChains(mark)
 }
@@ -886,7 +874,6 @@ func (e *DCE) Tick(now uint64, spareIssue, spareRS int) {
 	e.processTriggers(now)
 	e.retryDeferred(now)
 	e.issue(now)
-	e.compact()
 }
 
 // resolvePending copies producer locals into the pending live-ins of the
@@ -1219,14 +1206,6 @@ func (e *DCE) executeUop(now uint64, in *Instance, i int, u *ChainUop) {
 		doneAt = now + lat
 	}
 	e.doneQ.push(event{key: doneAt, instRef: instRef{in, in.id}, uop: i})
-}
-
-// compact drops killed instances from the head of the trigger list (done
-// instances elsewhere are dropped by processTriggers).
-func (e *DCE) compact() {
-	for len(e.all) > 0 && e.all[0].killed {
-		e.popAll()
-	}
 }
 
 // ActiveInstances returns the current window occupancy.
