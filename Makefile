@@ -64,8 +64,8 @@ bench-json:
 
 ## fuzz-smoke: a bounded pass over each native fuzz target — the brstate
 ## codec reader, the branch-trace decoder, the persistent-cache result
-## decoder, the warmup snapshot restore and brserve's request decoding and
-## normalization. CI runs this on every push;
+## decoder and brserve's request decoding and normalization. CI runs this
+## on every push;
 ## for a real fuzzing session raise FUZZTIME or run the targets
 ## individually.
 FUZZTIME ?= 30s
@@ -73,5 +73,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzReader$$' -fuzztime $(FUZZTIME) ./internal/brstate
 	$(GO) test -run '^$$' -fuzz 'FuzzTraceReader$$' -fuzztime $(FUZZTIME) ./internal/btrace
 	$(GO) test -run '^$$' -fuzz 'FuzzLoadResult$$' -fuzztime $(FUZZTIME) ./internal/experiments
-	$(GO) test -run '^$$' -fuzz 'FuzzWarmupBlob$$' -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run '^$$' -fuzz 'FuzzNormalizeRequest$$' -fuzztime $(FUZZTIME) ./internal/server

@@ -16,9 +16,10 @@
 //   - trace-guard: every trace.Tracer.Emit call sits inside an
 //     `if tr.Enabled() { ... }` block, so runs with tracing disabled never
 //     pay for event construction.
-//   - snapshot-coverage: every exported field of a struct implementing
-//     SaveState(*brstate.Writer) is referenced by its codec files, so new
-//     mutable state cannot silently be dropped from snapshots.
+//   - snapshot-coverage: every exported field, and every field mutated on
+//     the simulation path, of a struct with a CopyFrom(*T) method is
+//     referenced by that method, so new mutable state cannot silently be
+//     dropped from warmup forks.
 //
 // Vetted findings are suppressed in place with a directive comment:
 //

@@ -5,26 +5,25 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // RuleSnapshotCoverage is the snapshot-coverage rule name.
 const RuleSnapshotCoverage = "snapshot-coverage"
 
-// SnapshotCoverage guards the brstate codecs: for every struct type that
-// implements SaveState(*brstate.Writer), each of its exported fields — and
-// each unexported field mutated anywhere on the simulation path (directly or
-// through call-graph-reachable helpers) — must be referenced somewhere in
-// the files that define the type's SaveState or LoadState methods (its codec
-// files). Adding a mutable field to a snapshot-implementing component
-// without serializing it would otherwise silently produce snapshots that
-// restore to a diverging simulation; intentionally-unserialized fields
-// (derived handles, scratch) are suppressed in place with
+// SnapshotCoverage guards the warmup fork: for every struct type with a
+// copy method — CopyFrom taking a pointer to its own type, which a fork
+// from a shared warmup calls to carry the warm component's state into a
+// fresh one — each exported field, and each field mutated anywhere on the
+// simulation path (directly or through call-graph-reachable helpers), must
+// be referenced in the body of that method. Adding a mutable field to a
+// component without copying it would otherwise silently produce forks that
+// diverge from straight-through runs; intentionally-uncopied fields
+// (derived handles, scratch, free pools) are suppressed in place with
 // //brlint:allow snapshot-coverage.
 func SnapshotCoverage() *Analyzer {
 	return &Analyzer{
 		Name: RuleSnapshotCoverage,
-		Doc:  "fields of SaveState-implementing structs mutated on the sim path must be referenced by their codec",
+		Doc:  "fields of structs with a CopyFrom method that are exported or mutated on the sim path must be referenced by it",
 		Run:  runSnapshotCoverage,
 	}
 }
@@ -43,8 +42,8 @@ func runSnapshotCoverage(prog *Program) []Diagnostic {
 
 // simPathMutatedFields collects every struct field assigned, incremented or
 // address-taken inside a function on (or call-graph-reachable from) the
-// simulation path. These are the fields whose values can change between
-// snapshot and restore.
+// simulation path. These are the fields whose values can differ between a
+// freshly built component and a warm one.
 func simPathMutatedFields(prog *Program) map[*types.Var]bool {
 	g := prog.CallGraph()
 	reach := g.Reachable(simPathRoots(g))
@@ -101,35 +100,16 @@ func simPathMutatedFields(prog *Program) map[*types.Var]bool {
 }
 
 func snapshotCoveragePkg(prog *Program, pkg *Package, mutated map[*types.Var]bool) []Diagnostic {
-	// codecFiles maps each snapshot-implementing named type to the files
-	// holding its SaveState/LoadState methods.
-	codecFiles := make(map[*types.Named][]*ast.File)
+	// copyBodies maps each type with a copy method to that method's body.
+	copyBodies := make(map[*types.Named]*ast.BlockStmt)
 	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil || fd.Body == nil {
+			if !ok || fd.Recv == nil || fd.Body == nil || fd.Name.Name != "CopyFrom" {
 				continue
 			}
-			if fd.Name.Name != "SaveState" && fd.Name.Name != "LoadState" {
-				continue
-			}
-			named := receiverNamed(pkg, fd)
-			if named == nil {
-				continue
-			}
-			if fd.Name.Name == "SaveState" && !savesToBrstate(pkg, fd) {
-				continue
-			}
-			files := codecFiles[named]
-			seen := false
-			for _, f := range files {
-				if f == file {
-					seen = true
-					break
-				}
-			}
-			if !seen {
-				codecFiles[named] = append(files, file)
+			if named := receiverNamed(pkg, fd); named != nil && copiesOwnType(pkg, fd, named) {
+				copyBodies[named] = fd.Body
 			}
 		}
 	}
@@ -146,7 +126,7 @@ func snapshotCoveragePkg(prog *Program, pkg *Package, mutated map[*types.Var]boo
 		if !ok {
 			continue
 		}
-		files, ok := codecFiles[named]
+		body, ok := copyBodies[named]
 		if !ok {
 			continue
 		}
@@ -154,7 +134,7 @@ func snapshotCoveragePkg(prog *Program, pkg *Package, mutated map[*types.Var]boo
 		if !ok {
 			continue
 		}
-		referenced := fieldsReferenced(pkg, named, files)
+		referenced := fieldsReferenced(pkg, named, body)
 		for i := 0; i < st.NumFields(); i++ {
 			f := st.Field(i)
 			if referenced[f.Name()] {
@@ -165,14 +145,14 @@ func snapshotCoveragePkg(prog *Program, pkg *Package, mutated map[*types.Var]boo
 				diags = append(diags, Diagnostic{
 					Pos:  prog.Position(f.Pos()),
 					Rule: RuleSnapshotCoverage,
-					Message: fmt.Sprintf("%s.%s implements SaveState but its exported field %s is never referenced by the codec; serialize it or suppress with //brlint:allow %s",
+					Message: fmt.Sprintf("%s.%s has a copy method but its exported field %s is never referenced by CopyFrom; copy it or suppress with //brlint:allow %s",
 						pkg.Types.Name(), named.Obj().Name(), f.Name(), RuleSnapshotCoverage),
 				})
 			case mutated[f]:
 				diags = append(diags, Diagnostic{
 					Pos:  prog.Position(f.Pos()),
 					Rule: RuleSnapshotCoverage,
-					Message: fmt.Sprintf("%s.%s implements SaveState but its field %s, mutated on the sim path, is never referenced by the codec; serialize it or suppress with //brlint:allow %s",
+					Message: fmt.Sprintf("%s.%s has a copy method but its field %s, mutated on the sim path, is never referenced by CopyFrom; copy it or suppress with //brlint:allow %s",
 						pkg.Types.Name(), named.Obj().Name(), f.Name(), RuleSnapshotCoverage),
 				})
 			}
@@ -198,9 +178,9 @@ func receiverNamed(pkg *Package, fd *ast.FuncDecl) *types.Named {
 	return named
 }
 
-// savesToBrstate reports whether a SaveState method has the brstate.Saver
-// shape: exactly one parameter of type *brstate.Writer.
-func savesToBrstate(pkg *Package, fd *ast.FuncDecl) bool {
+// copiesOwnType reports whether a CopyFrom method has the copy-method
+// shape: exactly one parameter, a pointer to the receiver's own type.
+func copiesOwnType(pkg *Package, fd *ast.FuncDecl, named *types.Named) bool {
 	obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
 	if !ok {
 		return false
@@ -210,36 +190,30 @@ func savesToBrstate(pkg *Package, fd *ast.FuncDecl) bool {
 		return false
 	}
 	ptr, ok := sig.Params().At(0).Type().(*types.Pointer)
-	if !ok {
-		return false
-	}
-	return strings.HasSuffix(ptr.Elem().String(), "brstate.Writer")
+	return ok && types.Identical(ptr.Elem(), named)
 }
 
 // fieldsReferenced collects every field of named selected anywhere in the
-// given files (the codec files: helper save/load functions beside the
-// methods count as codec coverage).
-func fieldsReferenced(pkg *Package, named *types.Named, files []*ast.File) map[string]bool {
+// copy method's body, through any variable (the receiver or the source).
+func fieldsReferenced(pkg *Package, named *types.Named, body *ast.BlockStmt) map[string]bool {
 	referenced := make(map[string]bool)
-	for _, file := range files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			selection, ok := pkg.Info.Selections[sel]
-			if !ok || selection.Kind() != types.FieldVal {
-				return true
-			}
-			recv := selection.Recv()
-			if ptr, ok := recv.(*types.Pointer); ok {
-				recv = ptr.Elem()
-			}
-			if types.Identical(recv, named) {
-				referenced[sel.Sel.Name] = true
-			}
+	ast.Inspect(body, func(n ast.Node) bool {
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok {
 			return true
-		})
-	}
+		}
+		selection, ok := pkg.Info.Selections[sel]
+		if !ok || selection.Kind() != types.FieldVal {
+			return true
+		}
+		recv := selection.Recv()
+		if ptr, ok := recv.(*types.Pointer); ok {
+			recv = ptr.Elem()
+		}
+		if types.Identical(recv, named) {
+			referenced[sel.Sel.Name] = true
+		}
+		return true
+	})
 	return referenced
 }

@@ -5,21 +5,10 @@ import (
 	"testing"
 )
 
-// snapshotFixture builds a fake brstate package plus one component package
-// under test.
+// snapshotFixture builds one component package under test.
 func snapshotFixture(t *testing.T, src string) *Program {
 	t.Helper()
 	return loadFixture(t,
-		fixturePkg{
-			path: "repro/internal/brstate",
-			files: map[string]string{"brstate.go": `package brstate
-type Writer struct{}
-func (w *Writer) U64(v uint64) {}
-type Reader struct{}
-func (r *Reader) U64() uint64 { return 0 }
-func (r *Reader) Err() error  { return nil }
-`},
-		},
 		fixturePkg{
 			path:  "repro/internal/comp",
 			files: map[string]string{"comp.go": src},
@@ -27,16 +16,14 @@ func (r *Reader) Err() error  { return nil }
 	)
 }
 
-func TestSnapshotCoverageFlagsUnserializedExportedField(t *testing.T) {
+func TestSnapshotCoverageFlagsUncopiedExportedField(t *testing.T) {
 	prog := snapshotFixture(t, `package comp
-import "repro/internal/brstate"
 type Unit struct {
 	Counter uint64
 	Skipped uint64
 	hidden  uint64
 }
-func (u *Unit) SaveState(w *brstate.Writer) { w.U64(u.Counter) }
-func (u *Unit) LoadState(r *brstate.Reader) error { u.Counter = r.U64(); return r.Err() }
+func (u *Unit) CopyFrom(w *Unit) { u.Counter = w.Counter }
 `)
 	diags := diagStrings(prog, []*Analyzer{SnapshotCoverage()})
 	if len(diags) != 1 {
@@ -47,79 +34,55 @@ func (u *Unit) LoadState(r *brstate.Reader) error { u.Counter = r.U64(); return 
 	}
 }
 
-func TestSnapshotCoverageHelperInCodecFileCounts(t *testing.T) {
-	// A field serialized through a helper function in the codec file is
-	// covered; unexported fields not mutated on the sim path are not
-	// checked.
+func TestSnapshotCoverageIgnoresOtherCopyFromShapes(t *testing.T) {
+	// A CopyFrom taking anything but a pointer to its own type is not a
+	// copy method.
 	prog := snapshotFixture(t, `package comp
-import "repro/internal/brstate"
+type Other struct{}
 type Unit struct {
 	Counter uint64
-	scratch []uint64
 }
-func (u *Unit) SaveState(w *brstate.Writer) { saveGuts(w, u) }
-func saveGuts(w *brstate.Writer, u *Unit) { w.U64(u.Counter) }
+func (u *Unit) CopyFrom(o *Other) {}
+type Saved struct {
+	Counter uint64
+}
+func (s *Saved) CopyFrom(path string) {}
 `)
 	if diags := diagStrings(prog, []*Analyzer{SnapshotCoverage()}); len(diags) != 0 {
 		t.Fatalf("want no diagnostics, got %v", diags)
 	}
 }
 
-func TestSnapshotCoverageIgnoresNonBrstateSaveState(t *testing.T) {
-	// SaveState with an unrelated signature is not a snapshot codec.
+func TestSnapshotCoverageReferenceOutsideCopyMethodDoesNotCount(t *testing.T) {
+	// A helper the copy method calls, even in the same file, does not cover
+	// the fields it touches: the copy method itself must name each one.
 	prog := snapshotFixture(t, `package comp
-type Unit struct {
-	Counter uint64
-}
-func (u *Unit) SaveState(path string) {}
-`)
-	if diags := diagStrings(prog, []*Analyzer{SnapshotCoverage()}); len(diags) != 0 {
-		t.Fatalf("want no diagnostics, got %v", diags)
-	}
-}
-
-func TestSnapshotCoverageReferenceOutsideCodecFileDoesNotCount(t *testing.T) {
-	prog := loadFixture(t,
-		fixturePkg{
-			path: "repro/internal/brstate",
-			files: map[string]string{"brstate.go": `package brstate
-type Writer struct{}
-func (w *Writer) U64(v uint64) {}
-`},
-		},
-		fixturePkg{
-			path: "repro/internal/comp",
-			files: map[string]string{
-				"comp.go": `package comp
 type Unit struct {
 	Counter uint64
 	Hits    uint64
 }
 func (u *Unit) Touch() { u.Hits++ }
-`,
-				"state.go": `package comp
-import "repro/internal/brstate"
-func (u *Unit) SaveState(w *brstate.Writer) { w.U64(u.Counter) }
-`,
-			},
-		},
-	)
+func (u *Unit) CopyFrom(w *Unit) {
+	u.Counter = w.Counter
+	copyHits(u, w)
+}
+func copyHits(u, w *Unit) { u.Hits = w.Hits }
+`)
 	diags := diagStrings(prog, []*Analyzer{SnapshotCoverage()})
 	if len(diags) != 1 || !strings.Contains(diags[0], "Hits") {
-		t.Fatalf("mutation outside the codec file must not count as coverage, got %v", diags)
+		t.Fatalf("a reference outside the copy method must not count as coverage, got %v", diags)
 	}
 }
 
 func TestSnapshotCoverageAllowDirective(t *testing.T) {
 	prog := snapshotFixture(t, `package comp
-import "repro/internal/brstate"
 type Unit struct {
 	Counter uint64
 	// Derived handle, rebuilt at construction.
 	//brlint:allow snapshot-coverage
 	Handle uint64
 }
-func (u *Unit) SaveState(w *brstate.Writer) { w.U64(u.Counter) }
+func (u *Unit) CopyFrom(w *Unit) { u.Counter = w.Counter }
 `)
 	if diags := diagStrings(prog, []*Analyzer{SnapshotCoverage()}); len(diags) != 0 {
 		t.Fatalf("allow directive should suppress the finding, got %v", diags)
@@ -128,31 +91,22 @@ func (u *Unit) SaveState(w *brstate.Writer) { w.U64(u.Counter) }
 
 // TestSnapshotCoverageFlagsMutatedUnexportedField: an unexported field
 // mutated by code on (or reachable from) the simulation path must be
-// serialized too — the old exported-only check missed exactly this.
+// copied too — an exported-only check would miss exactly this. An
+// unexported field the sim path never mutates is not checked.
 func TestSnapshotCoverageFlagsMutatedUnexportedField(t *testing.T) {
 	prog := loadFixture(t,
-		fixturePkg{
-			path: "repro/internal/brstate",
-			files: map[string]string{"brstate.go": `package brstate
-type Writer struct{}
-func (w *Writer) U64(v uint64) {}
-`},
-		},
 		fixturePkg{
 			path: "repro/internal/core",
 			files: map[string]string{
 				"core.go": `package core
 type Unit struct {
 	Counter uint64
-	clock   uint64 // mutated every cycle, missing from the codec
+	clock   uint64 // mutated every cycle, missing from the copy
 	scratch uint64 // never mutated on the sim path: not checked
 }
 func (u *Unit) Cycle() { u.tick() }
 func (u *Unit) tick()  { u.clock++ }
-`,
-				"state.go": `package core
-import "repro/internal/brstate"
-func (u *Unit) SaveState(w *brstate.Writer) { w.U64(u.Counter) }
+func (u *Unit) CopyFrom(w *Unit) { u.Counter = w.Counter }
 `,
 			},
 		},

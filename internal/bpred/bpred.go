@@ -10,6 +10,14 @@
 // history; Checkpoint/Restore save and recover the speculative history
 // around branches (restored on a pipeline flush); Commit performs the
 // retire-time table update using the prediction-time Info.
+//
+// Every predictor has a CopyFrom method that copies another instance's
+// tables and history registers into its own arrays, for a run forked from
+// a shared warmup. Both instances must come from the same constructor and
+// configuration. CopyFrom only reads its argument, so several forks may
+// copy from one warm predictor at once, and it copies no checkpoint or info
+// pools: a warm predictor is taken with the pipeline drained, when they
+// hold nothing in flight.
 package bpred
 
 // Info is opaque per-prediction state returned by Predict and handed back
@@ -146,6 +154,9 @@ func (b *Bimodal) ReleaseInfo(Info) {}
 // StorageBits implements Predictor.
 func (b *Bimodal) StorageBits() int { return 2 * len(b.table) }
 
+// CopyFrom copies w's counters into b.
+func (b *Bimodal) CopyFrom(w *Bimodal) { copy(b.table, w.table) }
+
 // Gshare XORs a global history register with the PC to index a counter
 // table. Included as a classical point of comparison and for tests.
 type Gshare struct {
@@ -248,4 +259,10 @@ func (x *xorshift64) next() uint64 {
 	v ^= v << 17
 	*x = xorshift64(v)
 	return v
+}
+
+// CopyFrom copies w's counters and history into g.
+func (g *Gshare) CopyFrom(w *Gshare) {
+	copy(g.table, w.table)
+	g.hist = w.hist
 }

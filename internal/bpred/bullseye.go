@@ -300,3 +300,14 @@ func (b *Bullseye) StorageBits() int {
 		int(b.cfg.LHistLen)*len(b.localHist) +
 		int(b.cfg.GHistLen)
 }
+
+// CopyFrom copies w's filter, weights, local histories and own history,
+// then its base predictor, into b.
+func (b *Bullseye) CopyFrom(w *Bullseye) {
+	copy(b.filter, w.filter)
+	copy(b.gw, w.gw)
+	copy(b.lw, w.lw)
+	copy(b.localHist, w.localHist)
+	b.hist = w.hist
+	b.base.CopyFrom(w.base)
+}

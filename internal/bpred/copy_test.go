@@ -3,17 +3,7 @@ package bpred
 import (
 	"reflect"
 	"testing"
-
-	"repro/internal/brstate"
-	"repro/internal/simtest"
 )
-
-// statefulPredictor is the save/load surface the round-trip tests drive.
-type statefulPredictor interface {
-	Predictor
-	brstate.Saver
-	brstate.Loader
-}
 
 // stir drives a predictor through a deterministic pseudo-random branch
 // stream, including checkpoint/restore churn (misprediction recovery), so
@@ -45,7 +35,7 @@ func stir(p Predictor, seed uint64, n int) {
 }
 
 // normalize empties checkpoint scratch pools, which are semantically empty
-// once the pipeline drains and deliberately excluded from snapshots.
+// once the pipeline drains and deliberately left out of CopyFrom.
 func normalize(p Predictor) {
 	switch s := p.(type) {
 	case *TAGESCL:
@@ -67,29 +57,40 @@ func normalize(p Predictor) {
 	}
 }
 
+// copyCase builds one predictor configuration twice over and copies between
+// two of its instances.
+type copyCase struct {
+	name string
+	mk   func() Predictor
+	copy func(dst, src Predictor)
+}
+
+// copyVia adapts a typed CopyFrom to copyCase.
+func copyVia[P interface{ CopyFrom(P) }](dst, src Predictor) { dst.(P).CopyFrom(src.(P)) }
+
+// TestPredictorRoundTrip stirs every predictor, copies it into a fresh
+// instance and requires the copy to equal it and to predict identically
+// from there on. A second copy, stirred on its own, must leave the stirred
+// predictor untouched: CopyFrom hands none of its arrays to the copy.
 func TestPredictorRoundTrip(t *testing.T) {
-	cases := []struct {
-		name    string
-		version uint32
-		mk      func() statefulPredictor
-	}{
-		{"bimodal", BimodalStateVersion, func() statefulPredictor { return NewBimodal(12) }},
-		{"gshare", GshareStateVersion, func() statefulPredictor { return NewGshare(14, 12) }},
-		{"tage64", TAGESCLStateVersion, func() statefulPredictor { return NewTAGESCL64() }},
-		{"tage80", TAGESCLStateVersion, func() statefulPredictor { return NewTAGESCL80() }},
-		{"mtage", TAGESCLStateVersion, func() statefulPredictor { return NewMTAGE() }},
-		{"perceptron", PerceptronStateVersion, func() statefulPredictor {
+	cases := []copyCase{
+		{"bimodal", func() Predictor { return NewBimodal(12) }, copyVia[*Bimodal]},
+		{"gshare", func() Predictor { return NewGshare(14, 12) }, copyVia[*Gshare]},
+		{"tage64", func() Predictor { return NewTAGESCL64() }, copyVia[*TAGESCL]},
+		{"tage80", func() Predictor { return NewTAGESCL80() }, copyVia[*TAGESCL]},
+		{"mtage", func() Predictor { return NewMTAGE() }, copyVia[*TAGESCL]},
+		{"perceptron", func() Predictor {
 			return NewPerceptron(DefaultPerceptronConfig())
-		}},
-		{"tournament", TournamentStateVersion, func() statefulPredictor {
+		}, copyVia[*Perceptron]},
+		{"tournament", func() Predictor {
 			return NewTournament(DefaultTournamentConfig())
-		}},
-		{"ldbp", LDBPStateVersion, func() statefulPredictor {
+		}, copyVia[*Tournament]},
+		{"ldbp", func() Predictor {
 			return NewLDBP(DefaultLDBPConfig(), NewTAGESCL64(), ldbpTestProgram())
-		}},
-		{"bullseye", BullseyeStateVersion, func() statefulPredictor {
+		}, copyVia[*LDBP]},
+		{"bullseye", func() Predictor {
 			return NewBullseye(DefaultBullseyeConfig(), NewTAGESCL64())
-		}},
+		}, copyVia[*Bullseye]},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -98,14 +99,25 @@ func TestPredictorRoundTrip(t *testing.T) {
 			stir(p, 0x853c49e6748fea9b, 20000)
 			normalize(p)
 
-			fresh := tc.mk()
-			simtest.RoundTrip(t, tc.name, tc.version, p.SaveState, fresh.LoadState, fresh.SaveState)
-			normalize(fresh)
-			if !reflect.DeepEqual(p, fresh) {
-				t.Fatal("restored predictor state differs from the saved one")
+			twin := tc.mk()
+			stir(twin, 0x853c49e6748fea9b, 20000)
+			other := tc.mk()
+			tc.copy(other, p)
+			stir(other, 0x9e3779b97f4a7c15, 2000)
+			normalize(twin)
+			normalize(p)
+			if !reflect.DeepEqual(p, twin) {
+				t.Fatal("stirring a copy changed the predictor it was copied from")
 			}
 
-			// The restored predictor must behave identically from here on.
+			fresh := tc.mk()
+			tc.copy(fresh, p)
+			normalize(fresh)
+			if !reflect.DeepEqual(p, fresh) {
+				t.Fatal("copied predictor state differs from the original")
+			}
+
+			// The copy must behave identically from here on.
 			rng := uint64(0xda3e39cb94b95bdb)
 			for i := 0; i < 2000; i++ {
 				rng ^= rng << 13
@@ -116,7 +128,7 @@ func TestPredictorRoundTrip(t *testing.T) {
 				d1, i1 := p.Predict(pc)
 				d2, i2 := fresh.Predict(pc)
 				if d1 != d2 {
-					t.Fatalf("post-restore prediction divergence at branch %d (pc %#x)", i, pc)
+					t.Fatalf("post-copy prediction divergence at branch %d (pc %#x)", i, pc)
 				}
 				p.OnFetch(pc, d1)
 				fresh.OnFetch(pc, d2)
@@ -124,21 +136,5 @@ func TestPredictorRoundTrip(t *testing.T) {
 				fresh.Commit(pc, taken, d2 == taken, i2)
 			}
 		})
-	}
-}
-
-func TestPredictorLoadRejectsMismatchedGeometry(t *testing.T) {
-	small := NewBimodal(10)
-	w := brstate.NewWriter()
-	w.Section("p", BimodalStateVersion, small.SaveState)
-	r, err := brstate.NewReader(w.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	big := NewBimodal(12)
-	var loadErr error
-	r.Section("p", BimodalStateVersion, func(r *brstate.Reader) { loadErr = big.LoadState(r) })
-	if loadErr == nil && r.Err() == nil {
-		t.Fatal("expected table-size mismatch error")
 	}
 }

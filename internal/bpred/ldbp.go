@@ -26,9 +26,9 @@ import (
 //
 // All LDBP-specific state (RTT, BTT, LVT) is retire-updated, so the
 // predictor needs no speculative overlay of its own: checkpoint/restore
-// delegate to the base predictor unchanged. Warmup-snapshot sharing is
-// safe because the predictor kind partitions the warmup key — an LDBP
-// run never restores another predictor's warmup image.
+// delegate to the base predictor unchanged. Warmup sharing is safe
+// because the predictor kind partitions the warmup key — an LDBP run
+// never forks from another predictor's warm machine.
 type LDBP struct {
 	cfg  LDBPConfig
 	base *TAGESCL
@@ -341,4 +341,15 @@ func (l *LDBP) StorageBits() int {
 	bits += len(l.btt) * (32 + 32 + 1 + 32 + 3 + 4 + 6 + 1)
 	bits += len(l.lvt) * (32 + 64 + 64 + 3 + 1)
 	return bits
+}
+
+// CopyFrom copies w's provenance and table state, then its base
+// predictor, into l. A drained warm LDBP has released every prediction, so
+// each BTT entry's inflight count it copies is zero.
+func (l *LDBP) CopyFrom(w *LDBP) {
+	l.rtt = w.rtt
+	l.flagsRecipe = w.flagsRecipe
+	copy(l.btt, w.btt)
+	copy(l.lvt, w.lvt)
+	l.base.CopyFrom(w.base)
 }

@@ -90,3 +90,6 @@ func (l *loopPredictor) storageBits() int {
 	// tag 16 + past 16 + curr 16 + conf 3 + age 3 + dir 1 + valid 1
 	return len(l.entries) * 56
 }
+
+// copyFrom copies w's loop entries into l.
+func (l *loopPredictor) copyFrom(w *loopPredictor) { copy(l.entries, w.entries) }

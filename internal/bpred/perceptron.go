@@ -172,3 +172,9 @@ func (p *Perceptron) ReleaseInfo(info Info) {
 func (p *Perceptron) StorageBits() int {
 	return 8*len(p.weights) + int(p.cfg.HistLen)
 }
+
+// CopyFrom copies w's weights and history into p.
+func (p *Perceptron) CopyFrom(w *Perceptron) {
+	copy(p.weights, w.weights)
+	p.hist = w.hist
+}

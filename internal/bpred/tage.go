@@ -409,3 +409,29 @@ func GeometricHists(n int, lo, hi float64) []uint32 {
 	}
 	return hs
 }
+
+// copyFrom copies w's tables, folded registers, history, usefulness clock
+// and allocation RNG into t. The folds' geometry is construction-derived,
+// so only their compressed values move.
+func (t *tage) copyFrom(w *tage) {
+	copy(t.base, w.base)
+	for i := range t.tables {
+		copy(t.tables[i], w.tables[i])
+	}
+	copyFoldComps(t.idxF, w.idxF)
+	copyFoldComps(t.tagF1, w.tagF1)
+	copyFoldComps(t.tagF2, w.tagF2)
+	copyFoldComps(t.extraFolds, w.extraFolds)
+	copy(t.hist.buf, w.hist.buf)
+	t.hist.head = w.hist.head
+	t.path = w.path
+	t.useAltOnNA = w.useAltOnNA
+	t.tick = w.tick
+	t.rng = w.rng
+}
+
+func copyFoldComps(dst, src []folded) {
+	for i := range dst {
+		dst[i].comp = src[i].comp
+	}
+}

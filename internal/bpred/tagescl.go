@@ -243,3 +243,15 @@ func abs32(v int32) int32 {
 	}
 	return v
 }
+
+// CopyFrom copies w's TAGE, loop and statistical-corrector state into s.
+// The 64KB and 80KB configurations and MTAGE-SC share this type; they
+// never copy into each other, because their warmup keys differ.
+func (s *TAGESCL) CopyFrom(w *TAGESCL) {
+	s.t.copyFrom(w.t)
+	s.loop.copyFrom(w.loop)
+	copy(s.scBias, w.scBias)
+	for i := range s.scTables {
+		copy(s.scTables[i], w.scTables[i])
+	}
+}

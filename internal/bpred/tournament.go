@@ -199,3 +199,12 @@ func (t *Tournament) StorageBits() int {
 		2*len(t.chooser) +
 		int(t.cfg.GlobalHistBits)
 }
+
+// CopyFrom copies w's local, global and chooser tables and history into t.
+func (t *Tournament) CopyFrom(w *Tournament) {
+	copy(t.localHist, w.localHist)
+	copy(t.localPHT, w.localPHT)
+	copy(t.globalPHT, w.globalPHT)
+	copy(t.chooser, w.chooser)
+	t.hist = w.hist
+}

@@ -1,23 +1,23 @@
-// Package brstate is the simulator's uniform state-serialization layer: a
-// deterministic little-endian binary codec with an explicit format version,
-// used by every stateful component to save and restore snapshots. There is
-// no reflection on the save/load path — each component enumerates its own
-// fields — so the codec stays fast enough for stride snapshots and
-// byte-stable enough to content-address (identical state always encodes to
-// identical bytes; maps are emitted in sorted key order by their owners).
+// Package brstate is the binary codec of the files the simulator persists:
+// run-cache entries (internal/experiments) and recorded branch traces
+// (internal/btrace). It is a deterministic little-endian encoding with an
+// explicit format version. There is no reflection: each owner enumerates
+// its own fields, and emits maps in sorted key order, so identical values
+// always encode to identical bytes and can be content-addressed.
 //
-// Layout. A snapshot is an envelope (magic, format version) followed by
-// named sections. Each section carries its own component version and a
-// length prefix, so a reader can verify it consumed exactly the payload and
-// skip sections it does not know:
+// Layout. A blob is an envelope (magic, format version) followed by named
+// sections. Each section carries its owner's payload version and a length
+// prefix, so a reader can verify it consumed exactly the payload:
 //
 //	"BRST" | u32 format | sections... | "TSRB"
 //	section: string name | u32 version | u64 length | payload
 //
 // Versioning policy: FormatVersion covers the envelope and primitive
-// encodings; each component bumps its own section version when its payload
-// layout changes. A loader rejects mismatched versions rather than guessing
-// (snapshots are cheap to regenerate; silent misdecoding is not).
+// encodings; an owner bumps its own section version when its payload
+// layout changes. A reader rejects mismatched versions rather than
+// guessing. Both kinds of file are read from disk, so a Reader treats its
+// input as untrusted: every failure is a sticky error, never a panic or an
+// allocation sized by a corrupt length.
 package brstate
 
 import (
@@ -35,28 +35,17 @@ const (
 	magicClose = "TSRB"
 )
 
-// Saver is implemented by components that can serialize their mutable state.
-// Configuration and derived fields are not saved: a loader reconstructs the
-// component from the same configuration first, then restores mutable state.
-type Saver interface {
-	SaveState(w *Writer)
-}
-
-// Loader restores state previously written by the matching SaveState into an
-// identically-configured component.
-type Loader interface {
-	LoadState(r *Reader) error
-}
-
 // Writer serializes primitives into a growing buffer. Write methods never
 // fail; the buffer is handed off with Bytes.
 type Writer struct {
 	buf []byte
 }
 
-// NewWriter returns an empty Writer with the envelope header written.
+// NewWriter returns an empty Writer with the envelope header written. Its
+// buffer starts at 4 KiB, which holds any run-cache entry (at most about
+// 2 KB); a trace grows it by appending.
 func NewWriter() *Writer {
-	w := &Writer{buf: make([]byte, 0, 1<<16)}
+	w := &Writer{buf: make([]byte, 0, 4<<10)}
 	w.buf = append(w.buf, magicOpen...)
 	w.U32(FormatVersion)
 	return w
@@ -81,12 +70,6 @@ func (w *Writer) Bool(v bool) {
 	}
 }
 
-// I8 writes a signed byte.
-func (w *Writer) I8(v int8) { w.U8(uint8(v)) }
-
-// U16 writes a little-endian uint16.
-func (w *Writer) U16(v uint16) { w.buf = binary.LittleEndian.AppendUint16(w.buf, v) }
-
 // U32 writes a little-endian uint32.
 func (w *Writer) U32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
 
@@ -95,9 +78,6 @@ func (w *Writer) U64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf,
 
 // I64 writes a little-endian int64.
 func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
-
-// Int writes an int as 64 bits.
-func (w *Writer) Int(v int) { w.I64(int64(v)) }
 
 // F64 writes a float64 by bit pattern.
 func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
@@ -114,7 +94,7 @@ func (w *Writer) String(s string) {
 	w.buf = append(w.buf, s...)
 }
 
-// Len writes a slice/map length (for the matching Reader.Len check).
+// Len writes a slice/map length.
 func (w *Writer) Len(n int) { w.U64(uint64(n)) }
 
 // Section writes one named, versioned, length-prefixed section whose payload
@@ -201,18 +181,6 @@ func (r *Reader) U8() uint8 {
 // Bool reads a bool.
 func (r *Reader) Bool() bool { return r.U8() != 0 }
 
-// I8 reads a signed byte.
-func (r *Reader) I8() int8 { return int8(r.U8()) }
-
-// U16 reads a little-endian uint16.
-func (r *Reader) U16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
 // U32 reads a little-endian uint32.
 func (r *Reader) U32() uint32 {
 	b := r.take(4)
@@ -234,9 +202,6 @@ func (r *Reader) U64() uint64 {
 // I64 reads a little-endian int64.
 func (r *Reader) I64() int64 { return int64(r.U64()) }
 
-// Int reads an int written by Writer.Int.
-func (r *Reader) Int() int { return int(r.I64()) }
-
 // F64 reads a float64.
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 
@@ -257,21 +222,6 @@ func (r *Reader) String() string {
 	n := r.U64()
 	b := r.take(int(n))
 	return string(b)
-}
-
-// Len reads a length written by Writer.Len and checks it equals want,
-// failing the Reader otherwise. Components with construction-time sizing use
-// this to reject snapshots from differently-configured instances.
-func (r *Reader) Len(want int) bool {
-	n := r.U64()
-	if r.err != nil {
-		return false
-	}
-	if int(n) != want {
-		r.fail("length %d, component configured for %d", n, want)
-		return false
-	}
-	return true
 }
 
 // LenAny reads a length with no expectation (for owner-sized collections

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/bpred"
-	"repro/internal/brstate"
 	"repro/internal/btrace"
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -171,13 +170,11 @@ func runCore(t *testing.T, c *core.Core) (string, map[uint64]core.BranchStat, ui
 	if !c.Halted() {
 		t.Fatal("program did not halt")
 	}
-	w := brstate.NewWriter()
-	c.C.SaveState(w)
 	branches := make(map[uint64]core.BranchStat, len(c.Branches))
 	for pc, bs := range c.Branches {
 		branches[pc] = *bs
 	}
-	return string(w.Bytes()), branches, c.Now()
+	return c.C.String(), branches, c.Now()
 }
 
 func TestReplayMatchesExecution(t *testing.T) {

@@ -1,7 +1,6 @@
 package btrace
 
 import (
-	"repro/internal/brstate"
 	"repro/internal/emu"
 	"repro/internal/isa"
 )
@@ -114,22 +113,3 @@ func (s *Source) Pos() uint64 { return s.pos }
 // are taken just past the branch's own record, so recovery resumes exactly
 // at the first post-branch correct-path micro-op.
 func (s *Source) SetPos(pos uint64) { s.pos = pos }
-
-// SaveExtra persists the stream position into the core snapshot section
-// (the execution-driven source writes nothing, so this byte is the only
-// layout difference between front-end kinds — and snapshots already key on
-// the whole config, front-end kind included).
-func (s *Source) SaveExtra(w *brstate.Writer) { w.U64(s.pos) }
-
-// LoadExtra restores the stream position written by SaveExtra.
-func (s *Source) LoadExtra(r *brstate.Reader) error {
-	pos := r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if pos > uint64(len(s.tr.Recs)) {
-		return ErrExhausted
-	}
-	s.pos = pos
-	return nil
-}

@@ -70,14 +70,14 @@ type Cache struct {
 
 	// tr is the structured event tracer (nil when tracing is off);
 	// trUnit identifies this level on the trace timeline. Tracer wiring is
-	// re-attached by the machine builder, not the codec.
+	// re-attached by the machine builder, not CopyFrom.
 	tr     *trace.Tracer //brlint:allow snapshot-coverage
 	trUnit uint64        //brlint:allow snapshot-coverage
 
 	// Counters: hits, misses, evictions, writebacks, pendingHits.
 	C *stats.Counters
 	// Ctr holds dense handles into C for the per-access events; see
-	// stats.Counter. The values live in C, which the codec serializes.
+	// stats.Counter. The values live in C, which CopyFrom copies.
 	//brlint:allow snapshot-coverage
 	Ctr CacheCounters
 }
@@ -387,13 +387,13 @@ type StreamPrefetcher struct {
 	degree   int
 	below    MemLevel // level that sources prefetched data (DRAM)
 	// fill is hierarchy wiring (the LLC), re-attached by the machine
-	// builder, not the codec.
+	// builder, not CopyFrom.
 	fill    *Cache //brlint:allow snapshot-coverage
 	lineOff uint
 	clock   uint64
 	C       *stats.Counters
 	// prefetches is the dense handle for the per-issue counter; the value
-	// lives in C, which the codec serializes.
+	// lives in C, which CopyFrom copies.
 	prefetches stats.Counter //brlint:allow snapshot-coverage
 }
 
@@ -483,4 +483,28 @@ func (p *StreamPrefetcher) Train(now uint64, addr uint64) {
 		p.fill.Install(now, ta, done)
 		p.prefetches.Inc()
 	}
+}
+
+// CopyFrom copies w's lines, LRU clock, port and MSHR reservations,
+// counters and attached prefetcher into c, which must have w's geometry.
+// Reservations are absolute cycles, which stay valid because a fork
+// continues from w's clock. w is only read.
+func (c *Cache) CopyFrom(w *Cache) {
+	for i := range c.sets {
+		copy(c.sets[i], w.sets[i])
+	}
+	c.lruClock = w.lruClock
+	copy(c.ports, w.ports)
+	c.outstanding = append(c.outstanding[:0], w.outstanding...)
+	c.C.CopyFrom(w.C)
+	if c.pf != nil {
+		c.pf.CopyFrom(w.pf)
+	}
+}
+
+// CopyFrom copies w's stream trackers, clock and counters into p.
+func (p *StreamPrefetcher) CopyFrom(w *StreamPrefetcher) {
+	copy(p.streams, w.streams)
+	p.clock = w.clock
+	p.C.CopyFrom(w.C)
 }

@@ -4,12 +4,10 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/brstate"
 	"repro/internal/simtest"
 )
 
-// steadyMem is a stateless fixed-latency MemLevel backing the round-trip
-// tests (the package's flatMem counts accesses, which would differ between
+// steadyMem is a stateless fixed-latency MemLevel backing the copy tests (the package's flatMem counts accesses, which would differ between
 // the driven and fresh instances).
 type steadyMem struct{ lat uint64 }
 
@@ -41,15 +39,15 @@ func TestCacheRoundTrip(t *testing.T) {
 	}
 
 	fresh := New(smallCacheConfig(), mem)
-	simtest.RoundTrip(t, "cache", CacheStateVersion, c.SaveState, fresh.LoadState, fresh.SaveState)
+	fresh.CopyFrom(c)
 	if !reflect.DeepEqual(c.sets, fresh.sets) {
-		t.Fatal("restored line arrays differ")
+		t.Fatal("copied line arrays differ")
 	}
 	if !reflect.DeepEqual(c.ports, fresh.ports) || !reflect.DeepEqual(c.outstanding, fresh.outstanding) {
-		t.Fatal("restored port/MSHR reservations differ")
+		t.Fatal("copied port/MSHR reservations differ")
 	}
 	if c.lruClock != fresh.lruClock {
-		t.Fatal("restored LRU clock differs")
+		t.Fatal("copied LRU clock differs")
 	}
 	simtest.RequireDeepEqual(t, "cache counters", c.C.Snapshot(), fresh.C.Snapshot())
 
@@ -58,28 +56,8 @@ func TestCacheRoundTrip(t *testing.T) {
 		addr := next() % (1 << 16)
 		write := next()%5 == 0
 		if a, b := c.Access(now, addr, write), fresh.Access(now, addr, write); a != b {
-			t.Fatalf("post-restore divergence at access %d: %d vs %d", i, a, b)
+			t.Fatalf("post-copy divergence at access %d: %d vs %d", i, a, b)
 		}
-	}
-}
-
-func TestCacheLoadRejectsMismatchedGeometry(t *testing.T) {
-	mem := steadyMem{lat: 80}
-	c := New(smallCacheConfig(), mem)
-	same := New(smallCacheConfig(), mem)
-	blob := simtest.RoundTrip(t, "cache", CacheStateVersion, c.SaveState, same.LoadState, same.SaveState)
-
-	bigger := smallCacheConfig()
-	bigger.SizeBytes *= 2
-	other := New(bigger, mem)
-	r, err := brstate.NewReader(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var loadErr error
-	r.Section("cache", CacheStateVersion, func(r *brstate.Reader) { loadErr = other.LoadState(r) })
-	if loadErr == nil && r.Err() == nil {
-		t.Fatal("expected geometry-mismatch error")
 	}
 }
 
@@ -95,9 +73,9 @@ func TestStreamPrefetcherRoundTrip(t *testing.T) {
 	}
 
 	fresh := NewStreamPrefetcher(8, 4, 64, mem)
-	simtest.RoundTrip(t, "pf", PrefetcherStateVersion, p.SaveState, fresh.LoadState, fresh.SaveState)
+	fresh.CopyFrom(p)
 	if !reflect.DeepEqual(p.streams, fresh.streams) || p.clock != fresh.clock {
-		t.Fatal("restored prefetcher streams differ")
+		t.Fatal("copied prefetcher streams differ")
 	}
 	simtest.RequireDeepEqual(t, "prefetcher counters", p.C.Snapshot(), fresh.C.Snapshot())
 }
@@ -113,9 +91,9 @@ func TestTLBRoundTrip(t *testing.T) {
 	}
 
 	fresh := NewTLB(DefaultTLBConfig(), mem)
-	simtest.RoundTrip(t, "tlb", TLBStateVersion, tl.SaveState, fresh.LoadState, fresh.SaveState)
+	fresh.CopyFrom(tl)
 	if !reflect.DeepEqual(tl.sets, fresh.sets) || tl.clock != fresh.clock {
-		t.Fatal("restored TLB state differs")
+		t.Fatal("copied TLB state differs")
 	}
 	simtest.RequireDeepEqual(t, "TLB counters", tl.C.Snapshot(), fresh.C.Snapshot())
 }

@@ -21,7 +21,7 @@ type TLB struct {
 
 	C *stats.Counters
 	// Dense handles for the per-translate events; the values live in C,
-	// which the codec serializes.
+	// which CopyFrom copies.
 	hits, misses, pendingHits stats.Counter //brlint:allow snapshot-coverage
 }
 
@@ -126,4 +126,14 @@ func (t *TLB) Translate(now uint64, addr uint64) uint64 {
 // address in a reserved region, so walks exercise the real hierarchy.
 func pteAddr(vpn uint64) uint64 {
 	return 0x7F00_0000_0000 | (vpn * 8 & 0xFFFF_FFF8)
+}
+
+// CopyFrom copies w's entries, clock and counters into t, which must have
+// w's geometry. w is only read.
+func (t *TLB) CopyFrom(w *TLB) {
+	for i := range t.sets {
+		copy(t.sets[i], w.sets[i])
+	}
+	t.clock = w.clock
+	t.C.CopyFrom(w.C)
 }

@@ -4,13 +4,12 @@ import (
 	"testing"
 
 	"repro/internal/bpred"
-	"repro/internal/brstate"
 	"repro/internal/simtest"
 )
 
 // drainedCore runs the data-dependent sum-below workload for a partial
-// budget and drains the pipeline, leaving the core in the state a warmup
-// snapshot captures at the warmup/measure boundary.
+// budget and drains the pipeline, leaving the core in the state a warm
+// machine holds at the warmup/measure boundary.
 func drainedCore(t *testing.T) *Core {
 	t.Helper()
 	p, _, _ := sumBelowProgram(4096, 42)
@@ -35,7 +34,7 @@ func TestCoreRoundTrip(t *testing.T) {
 
 	p, _, _ := sumBelowProgram(4096, 42)
 	fresh := New(DefaultConfig(), p, bpred.NewTAGESCL64(), testHierarchy(), nil)
-	simtest.RoundTrip(t, "core", StateVersion, c.SaveState, fresh.LoadState, fresh.SaveState)
+	fresh.CopyFrom(c)
 
 	simtest.RequireDeepEqual(t, "clock", c.now, fresh.now)
 	simtest.RequireDeepEqual(t, "sequence", c.seq, fresh.seq)
@@ -49,16 +48,21 @@ func TestCoreRoundTrip(t *testing.T) {
 		[2]bool{fresh.fe.invalid, fresh.fe.halted})
 	simtest.RequireDeepEqual(t, "branch stats", c.Branches, fresh.Branches)
 	simtest.RequireDeepEqual(t, "counters", c.C.Snapshot(), fresh.C.Snapshot())
+	for pc, bs := range c.Branches {
+		if fresh.Branches[pc] == bs {
+			t.Fatalf("copy shares the branch statistics of pc %#x with the warm core", pc)
+		}
+	}
 
-	// The restored pipeline must be empty, exactly like the drained source.
+	// The copied pipeline must be empty, exactly like the drained source.
 	if len(fresh.rob) != 0 || len(fresh.fetchQ) != 0 || fresh.rsCount != 0 || fresh.lsqCount != 0 {
-		t.Fatal("restore left pipeline structures populated")
+		t.Fatal("copy left pipeline structures populated")
 	}
 }
 
-// TestSaveStateRejectsLivePipeline pins the drain precondition: a snapshot
-// of an in-flight pipeline would silently drop speculative state.
-func TestSaveStateRejectsLivePipeline(t *testing.T) {
+// TestCopyRejectsLivePipeline pins the drain precondition: copying an
+// in-flight pipeline would silently drop speculative state.
+func TestCopyRejectsLivePipeline(t *testing.T) {
 	p, _, _ := sumBelowProgram(256, 7)
 	c := New(DefaultConfig(), p, bpred.NewTAGESCL64(), testHierarchy(), nil)
 	if _, err := c.Run(200); err != nil {
@@ -69,8 +73,9 @@ func TestSaveStateRejectsLivePipeline(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("SaveState on a live pipeline must panic")
+			t.Fatal("CopyFrom of a live pipeline must panic")
 		}
 	}()
-	c.SaveState(brstate.NewWriter())
+	p2, _, _ := sumBelowProgram(256, 7)
+	New(DefaultConfig(), p2, bpred.NewTAGESCL64(), testHierarchy(), nil).CopyFrom(c)
 }

@@ -25,7 +25,7 @@ type BranchStat struct {
 // Core is the cycle-level out-of-order processor.
 type Core struct {
 	// cfg and the wired units below are construction-time configuration,
-	// rebuilt by the machine builder before a snapshot is loaded into it.
+	// rebuilt by the machine builder before a fork copies state into it.
 	cfg Config
 	src InstrSource
 	fe  *frontend
@@ -72,17 +72,17 @@ type Core struct {
 	haltRetired     bool
 
 	// fetchDisabled suspends fetch while Drain empties the pipeline ahead
-	// of a snapshot; snapshots are only taken after a drain has reset it,
-	// so the codec never needs it.
+	// of a warmup fork; a warm core is taken after a drain has reset it,
+	// so CopyFrom never needs it.
 	fetchDisabled bool //brlint:allow snapshot-coverage
 
-	// Tracer wiring is re-attached by the machine builder, not the codec.
+	// Tracer wiring is re-attached by the machine builder, not CopyFrom.
 	tr *trace.Tracer //brlint:allow snapshot-coverage
 
 	// Stats.
 	C *stats.Counters
-	// Ctr holds dense handles into C; the values live in C, which the
-	// codec serializes.
+	// Ctr holds dense handles into C; the values live in C, which
+	// CopyFrom copies.
 	//brlint:allow snapshot-coverage
 	Ctr      CoreCounters
 	Branches map[uint64]*BranchStat
@@ -101,8 +101,8 @@ type Core struct {
 	squashBuf []*DynUop   //brlint:allow snapshot-coverage
 	syncRegs  emu.RegFile //brlint:allow snapshot-coverage
 	// bsSlab is the BranchStat bump allocator: fresh zeroed chunks handed
-	// out by reslice, never recycled (entries live in Branches, which the
-	// codec serializes).
+	// out by reslice, never recycled (entries live in Branches, which
+	// CopyFrom copies).
 	bsSlab []BranchStat //brlint:allow snapshot-coverage
 }
 
@@ -300,7 +300,8 @@ func (c *Core) skipDeadCycles() {
 }
 
 // Drain suspends fetch and cycles the machine until every in-flight
-// micro-op has retired or been squashed: the barrier ahead of a snapshot.
+// micro-op has retired or been squashed: the barrier ahead of a warmup
+// fork (CopyFrom).
 // After a successful drain the ROB, reservation stations, fetch queue,
 // issued list, LSQ, store overlay and wrong-path tracker are all empty,
 // every DynUop is back in the pool, the rename table is clear, and so is
@@ -332,6 +333,54 @@ func (c *Core) Drain() error {
 			len(c.ready), len(c.timed), lists)
 	}
 	return nil
+}
+
+// CopyFrom copies the state of w, a drained core, into c, a core built with
+// w's configuration, program and wiring: the clock, sequence numbers,
+// fetch-steering state, front-end registers and PC, per-branch statistics,
+// counters and the source's stream position. c's pipeline is left empty, as
+// w's is. The committed memory, the predictor and the hierarchy are copied
+// by their own CopyFrom. w is only read, so several forks may copy from one
+// warm core at once. CopyFrom panics if w's pipeline is live.
+func (c *Core) CopyFrom(w *Core) {
+	if len(w.rob) != 0 || len(w.fetchQ) != 0 || w.rsCount != 0 {
+		panic("core: CopyFrom requires a drained pipeline")
+	}
+	c.now = w.now
+	c.seq = w.seq
+	c.fetchStallUntil = w.fetchStallUntil
+	c.lineReadyAt = w.lineReadyAt
+	c.curFetchLine = w.curFetchLine
+	c.haltRetired = w.haltRetired
+	c.fe.regs = w.fe.regs
+	c.fe.pc = w.fe.pc
+	c.fe.invalid = w.fe.invalid
+	c.fe.halted = w.fe.halted
+	c.fe.srcErr = nil
+	c.fe.stores = c.fe.stores[:0]
+	c.fetchQ = c.fetchQ[:0]
+	c.rob = c.rob[:0]
+	c.rsCount = 0
+	c.ready = c.ready[:0]
+	c.timed = c.timed[:0]
+	c.nextWake = 0
+	c.issued = c.issued[:0]
+	c.nextDone = 0
+	c.fe.refillPool()
+	c.lastWriter = [isa.NumRegs]*DynUop{}
+	c.lsqCount = 0
+	c.mispFetchedUnresolved = 0
+	branches := make([]BranchStat, len(w.Branches))
+	c.Branches = make(map[uint64]*BranchStat, len(w.Branches))
+	i := 0
+	// Keyed map construction is insensitive to iteration order.
+	for pc, bs := range w.Branches { //brlint:allow determinism
+		branches[i] = *bs
+		c.Branches[pc] = &branches[i]
+		i++
+	}
+	c.C.CopyFrom(w.C)
+	c.src.SetPos(w.src.Pos())
 }
 
 // Cycle advances the machine one clock. This is the simulator's innermost

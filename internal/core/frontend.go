@@ -74,7 +74,7 @@ func newFrontend(src InstrSource, inFlight int) *frontend {
 }
 
 // refillPool returns every DynUop to the free stack; only valid when none
-// is in flight (construction, snapshot restore).
+// is in flight (construction, a warmup fork).
 func (f *frontend) refillPool() {
 	f.free = f.free[:len(f.uops)]
 	for i := range f.uops {

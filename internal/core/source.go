@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/brstate"
 	"repro/internal/emu"
 	"repro/internal/isa"
 )
@@ -41,16 +40,10 @@ type InstrSource interface {
 	// is on the fetch hot path and may not allocate.
 	FetchExec(pc uint64, regs *emu.RegFile, view emu.MemView, wrongPath bool) (*isa.Uop, emu.StepResult, error)
 	// Pos reports the source's stream position for branch checkpoints;
-	// SetPos rewinds it on misprediction recovery. Execution-driven
+	// SetPos rewinds it on misprediction recovery, and a fork from a
+	// shared warmup sets it to the warm source's. Execution-driven
 	// sources have no stream and return 0 / ignore SetPos.
 	Pos() uint64
 	// SetPos restores a position previously returned by Pos.
 	SetPos(pos uint64)
-	// SaveExtra and LoadExtra extend the core snapshot with source state
-	// beyond what the core already persists (regs, PC, memory). They must
-	// be byte-symmetric; the execution-driven source writes nothing, which
-	// keeps pre-seam snapshots loadable.
-	SaveExtra(w *brstate.Writer)
-	// LoadExtra restores state written by SaveExtra.
-	LoadExtra(r *brstate.Reader) error
 }

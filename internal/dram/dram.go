@@ -69,11 +69,11 @@ type DRAM struct {
 	cfg Config
 	chs []channel
 	// tr is the structured event tracer (nil when tracing is off);
-	// wiring is re-attached by the machine builder, not the codec.
+	// wiring is re-attached by the machine builder, not CopyFrom.
 	tr *trace.Tracer //brlint:allow snapshot-coverage
 	C  *stats.Counters
 	// Ctr holds dense handles into C for the per-request events; the
-	// values live in C, which the codec serializes.
+	// values live in C, which CopyFrom copies.
 	//brlint:allow snapshot-coverage
 	Ctr DRAMCounters
 }
@@ -252,4 +252,18 @@ func (d *DRAM) Access(now uint64, addr uint64, write bool) uint64 {
 	}
 	d.Ctr.Reads.Inc()
 	return done
+}
+
+// CopyFrom copies w's open rows, bank and bus reservations, in-flight
+// queues and counters into d, which must have w's geometry. Reservations
+// are absolute cycles, valid because a fork continues from w's clock. w is
+// only read.
+func (d *DRAM) CopyFrom(w *DRAM) {
+	for i := range d.chs {
+		ch, wch := &d.chs[i], &w.chs[i]
+		copy(ch.banks, wch.banks)
+		ch.busAt = wch.busAt
+		ch.queue = append(ch.queue[:0], wch.queue...)
+	}
+	d.C.CopyFrom(w.C)
 }

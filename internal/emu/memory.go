@@ -17,7 +17,7 @@ type Memory struct {
 	pages map[uint64]*[pageSize]byte
 	// slab amortizes page allocation: one backing array per 16 newly
 	// touched pages instead of one allocation per page. It is a free
-	// pool, not architectural state, so the codec skips it.
+	// pool, not architectural state, so CopyFrom skips it.
 	//brlint:allow snapshot-coverage
 	slab []([pageSize]byte)
 }
@@ -40,6 +40,20 @@ func (m *Memory) page(addr uint64, create bool) *[pageSize]byte {
 		m.pages[pn] = p
 	}
 	return p
+}
+
+// CopyFrom makes m's resident pages copies of w's, in m's own page
+// arrays. w is only read.
+func (m *Memory) CopyFrom(w *Memory) {
+	// Both walks are keyed by page number, so their order is invisible.
+	for pn := range m.pages { //brlint:allow determinism
+		if w.pages[pn] == nil {
+			delete(m.pages, pn)
+		}
+	}
+	for pn, p := range w.pages { //brlint:allow determinism
+		*m.page(pn<<pageShift, true) = *p
+	}
 }
 
 // ByteAt returns the byte at addr (zero when unmapped).

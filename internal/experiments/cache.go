@@ -1,7 +1,8 @@
 // The persistent run cache. With Options.CacheDir set, every completed
 // simulation point is serialized to disk (content-addressed by run key plus
-// codec versions), and later suite invocations load it back instead of
-// simulating — a warm suite executes zero simulations and renders
+// codec versions, in one directory per simulator epoch), and later suite
+// invocations load it back instead of simulating — a warm suite executes
+// zero simulations and renders
 // byte-identical tables, and a suite killed mid-run restarts by recomputing
 // only the points it had not finished (DESIGN.md §10).
 package experiments
@@ -46,9 +47,10 @@ func (s *Suite) cacheID(key string, cfg sim.Config) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// cachePath is the completed-result file for a run key.
+// cachePath is the completed-result file for a run key, in the directory
+// of the simulator's epoch.
 func (s *Suite) cachePath(key string, cfg sim.Config) string {
-	return filepath.Join(s.opts.CacheDir, "run-"+s.cacheID(key, cfg)+".brres")
+	return filepath.Join(s.opts.CacheDir, fmt.Sprintf("e%d", sim.Epoch), "run-"+s.cacheID(key, cfg)+".brres")
 }
 
 // cacheLoad returns the cached result for key, or ok=false on any miss —
@@ -121,22 +123,22 @@ func (s *Suite) execute(w *workloads.Workload, cfg sim.Config) (*sim.Result, err
 	return sim.Run(w, cfg)
 }
 
-// executeShared runs one point by forking the workload's shared warmup
-// snapshot: the warmup simulates at most once per (workload, warmup
+// executeShared runs one point by forking the workload's shared warm
+// machine: the warmup simulates at most once per (workload, warmup
 // partition of the config) across the whole suite — runner.warmup's
-// singleflight — and each point then restores the blob and simulates only
-// its measure phase. Exactly one noteExecuted per point, as in execute; the
-// shared warmup is bookkeeping-free.
+// singleflight — and each point then copies the warm machine's state and
+// simulates only its measure phase. Exactly one noteExecuted per point, as
+// in execute; the shared warmup is bookkeeping-free.
 func (s *Suite) executeShared(w *workloads.Workload, cfg sim.Config) (*sim.Result, error) {
 	warmKey := w.Name + "|" + sim.WarmupKey(cfg)
-	blob, err := s.runner.warmup(warmKey, func() ([]byte, error) {
+	warm, err := s.runner.warmup(warmKey, func() (*sim.WarmMachine, error) {
 		return sim.WarmupSnapshot(w, cfg)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("shared warmup: %w", err)
 	}
 	s.runner.noteExecuted()
-	return sim.RunFromWarmup(w, cfg, blob)
+	return sim.RunFromWarmup(w, cfg, warm)
 }
 
 // atomicWrite writes b to path via a temp file in the same directory and a

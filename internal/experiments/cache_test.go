@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/runahead"
+	"repro/internal/sim"
 )
 
 // cacheTestOptions is a single-workload budget small enough that the
@@ -70,7 +72,7 @@ func TestCorruptCacheEntryRecomputed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, err := filepath.Glob(filepath.Join(dir, "run-*.brres"))
+	entries, err := filepath.Glob(filepath.Join(dir, fmt.Sprintf("e%d", sim.Epoch), "run-*.brres"))
 	if err != nil || len(entries) != 1 {
 		t.Fatalf("expected exactly 1 cache entry, got %v (%v)", entries, err)
 	}
@@ -130,7 +132,7 @@ func TestCacheAddressCoversRunInputs(t *testing.T) {
 		if n := other.RunsExecuted(); n != 1 {
 			t.Errorf("%s: a suite differing only in %s executed %d simulations, want 1", tc.name, tc.name, n)
 		}
-		if entries, _ := filepath.Glob(filepath.Join(dir, "run-*.brres")); len(entries) != 2 {
+		if entries, _ := filepath.Glob(filepath.Join(dir, fmt.Sprintf("e%d", sim.Epoch), "run-*.brres")); len(entries) != 2 {
 			t.Errorf("%s: %d cache entries, want 2", tc.name, len(entries))
 		}
 	}

@@ -39,10 +39,10 @@ type entry struct {
 	err  error
 }
 
-// warmEntry is one singleflight slot for a shared warmup snapshot.
+// warmEntry is one singleflight slot for a shared warm machine.
 type warmEntry struct {
 	done chan struct{}
-	blob []byte
+	warm *sim.WarmMachine
 	err  error
 }
 
@@ -80,7 +80,7 @@ func (r *runner) do(key string, compute func() (*sim.Result, error)) (*sim.Resul
 	return e.res, e.err
 }
 
-// warmup returns the shared warmup blob for key, invoking compute at most
+// warmup returns the shared warm machine for key, invoking compute at most
 // once per key across all concurrent callers. Unlike do, it acquires no
 // worker slot: warmups happen inside a run's compute, whose caller already
 // holds a slot, so computing on that slot keeps the pool deadlock-free even
@@ -88,7 +88,7 @@ func (r *runner) do(key string, compute func() (*sim.Result, error)) (*sim.Resul
 // idles on done and re-acquires one afterwards — otherwise N queued runs
 // of one workload pin N slots while a single warmup computes, starving
 // runs of other workloads that could use the cores.
-func (r *runner) warmup(key string, compute func() ([]byte, error)) ([]byte, error) {
+func (r *runner) warmup(key string, compute func() (*sim.WarmMachine, error)) (*sim.WarmMachine, error) {
 	r.mu.Lock()
 	if e, ok := r.warmups[key]; ok {
 		r.mu.Unlock()
@@ -100,15 +100,15 @@ func (r *runner) warmup(key string, compute func() ([]byte, error)) ([]byte, err
 			<-e.done
 			r.sem <- struct{}{} // re-acquire before resuming the run
 		}
-		return e.blob, e.err
+		return e.warm, e.err
 	}
 	e := &warmEntry{done: make(chan struct{})}
 	r.warmups[key] = e
 	r.mu.Unlock()
 
-	e.blob, e.err = compute()
+	e.warm, e.err = compute()
 	close(e.done)
-	return e.blob, e.err
+	return e.warm, e.err
 }
 
 // noteExecuted records one actually-executed simulation. It is called from

@@ -3,6 +3,8 @@ package experiments
 import (
 	"sync"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // warmShareOptions is a small Figure-13 sweep budget with warmup sharing on.
@@ -67,26 +69,27 @@ func TestSharedSweepWarmsUpOncePerKey(t *testing.T) {
 
 // TestRunnerWarmupSingleflight hammers one warmup key from many goroutines
 // and requires the compute function to run exactly once, with every caller
-// receiving the same blob. Each caller holds a worker slot, as a run's
-// compute does: a duplicate caller hands its slot back while it waits, so
-// without one it would block on an empty semaphore.
+// receiving the same warm machine. Each caller holds a worker slot, as a
+// run's compute does: a duplicate caller hands its slot back while it
+// waits, so without one it would block on an empty semaphore.
 func TestRunnerWarmupSingleflight(t *testing.T) {
 	r := newRunner(4)
 	var mu sync.Mutex
 	computes := 0
 	var wg sync.WaitGroup
-	blobs := make([][]byte, 16)
-	for i := range blobs {
+	want := new(sim.WarmMachine)
+	got := make([]*sim.WarmMachine, 16)
+	for i := range got {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			r.sem <- struct{}{}
 			defer func() { <-r.sem }()
-			blobs[i], _ = r.warmup("k", func() ([]byte, error) {
+			got[i], _ = r.warmup("k", func() (*sim.WarmMachine, error) {
 				mu.Lock()
 				computes++
 				mu.Unlock()
-				return []byte("warm"), nil
+				return want, nil
 			})
 		}(i)
 	}
@@ -94,9 +97,9 @@ func TestRunnerWarmupSingleflight(t *testing.T) {
 	if computes != 1 {
 		t.Fatalf("compute ran %d times, want 1", computes)
 	}
-	for i, b := range blobs {
-		if string(b) != "warm" {
-			t.Fatalf("caller %d got blob %q", i, b)
+	for i, w := range got {
+		if w != want {
+			t.Fatalf("caller %d got another warm machine", i)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -147,5 +149,23 @@ func TestGoldenCycleExact(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s br=%q:\ngot  %+v\nwant %+v", want.workload, want.br, got, want)
 		}
+	}
+}
+
+// goldenDigests pins a digest of the golden table for each simulator
+// epoch. A change that moves a golden value moves the digest, and the run
+// cache would then serve the old simulator's results under the same
+// address, so such a change must bump Epoch and add its digest here.
+var goldenDigests = map[int]string{
+	1: "467b0f7038a6c1f8",
+}
+
+// TestGoldenDigestPinnedToEpoch fails when the golden table changes without
+// an Epoch bump.
+func TestGoldenDigestPinnedToEpoch(t *testing.T) {
+	got := fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%+v", golden))))[:16]
+	if want := goldenDigests[Epoch]; got != want {
+		t.Fatalf("golden table digest is %s, but epoch %d pins %q: a change to the golden values must bump sim.Epoch and pin its digest",
+			got, Epoch, want)
 	}
 }

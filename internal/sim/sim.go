@@ -21,6 +21,13 @@ import (
 	"repro/internal/workloads"
 )
 
+// Epoch numbers the simulator's behaviour. Every change that moves a
+// simulated result bumps it, together with the golden values and their
+// digest in golden_test.go. The run cache stores entries under one
+// directory per epoch, so results of another simulator are never read and
+// a stale epoch is one directory to delete.
+const Epoch = 1
+
 // PredictorKind selects the baseline direction predictor.
 type PredictorKind int
 
@@ -39,42 +46,45 @@ const (
 
 // predictors is the predictor registry, indexed by kind. Each entry holds
 // the public name (flags, brserve requests, Result.Config, experiment
-// variant keys), the constructor, and the snapshot section version of the
-// predictor's state. LDBP inspects the retired instruction stream, so
-// constructors get the workload program.
+// variant keys), the state copy a warmup fork uses, and the constructor.
+// LDBP inspects the retired instruction stream, so constructors get the
+// workload program.
 var predictors = [...]struct {
-	name    string
-	version uint32
-	build   func(*program.Program) bpred.Predictor
+	name  string
+	copy  func(dst, src bpred.Predictor)
+	build func(*program.Program) bpred.Predictor
 }{
-	PredTage64: {"tage64", bpred.TAGESCLStateVersion, func(*program.Program) bpred.Predictor {
+	PredTage64: {"tage64", copyAs[*bpred.TAGESCL], func(*program.Program) bpred.Predictor {
 		return bpred.NewTAGESCL64()
 	}},
-	PredTage80: {"tage80", bpred.TAGESCLStateVersion, func(*program.Program) bpred.Predictor {
+	PredTage80: {"tage80", copyAs[*bpred.TAGESCL], func(*program.Program) bpred.Predictor {
 		return bpred.NewTAGESCL80()
 	}},
-	PredMTage: {"mtage", bpred.TAGESCLStateVersion, func(*program.Program) bpred.Predictor {
+	PredMTage: {"mtage", copyAs[*bpred.TAGESCL], func(*program.Program) bpred.Predictor {
 		return bpred.NewMTAGE()
 	}},
-	PredBimodal: {"bimodal", bpred.BimodalStateVersion, func(*program.Program) bpred.Predictor {
+	PredBimodal: {"bimodal", copyAs[*bpred.Bimodal], func(*program.Program) bpred.Predictor {
 		return bpred.NewBimodal(14)
 	}},
-	PredGshare: {"gshare", bpred.GshareStateVersion, func(*program.Program) bpred.Predictor {
+	PredGshare: {"gshare", copyAs[*bpred.Gshare], func(*program.Program) bpred.Predictor {
 		return bpred.NewGshare(16, 14)
 	}},
-	PredPerceptron: {"perceptron", bpred.PerceptronStateVersion, func(*program.Program) bpred.Predictor {
+	PredPerceptron: {"perceptron", copyAs[*bpred.Perceptron], func(*program.Program) bpred.Predictor {
 		return bpred.NewPerceptron(bpred.DefaultPerceptronConfig())
 	}},
-	PredTournament: {"tournament", bpred.TournamentStateVersion, func(*program.Program) bpred.Predictor {
+	PredTournament: {"tournament", copyAs[*bpred.Tournament], func(*program.Program) bpred.Predictor {
 		return bpred.NewTournament(bpred.DefaultTournamentConfig())
 	}},
-	PredLDBP: {"ldbp", bpred.LDBPStateVersion, func(p *program.Program) bpred.Predictor {
+	PredLDBP: {"ldbp", copyAs[*bpred.LDBP], func(p *program.Program) bpred.Predictor {
 		return bpred.NewLDBP(bpred.DefaultLDBPConfig(), bpred.NewTAGESCL64(), p)
 	}},
-	PredBullseye: {"bullseye", bpred.BullseyeStateVersion, func(*program.Program) bpred.Predictor {
+	PredBullseye: {"bullseye", copyAs[*bpred.Bullseye], func(*program.Program) bpred.Predictor {
 		return bpred.NewBullseye(bpred.DefaultBullseyeConfig(), bpred.NewTAGESCL64())
 	}},
 }
+
+// copyAs copies src's state into dst, two predictors of type P.
+func copyAs[P interface{ CopyFrom(P) }](dst, src bpred.Predictor) { dst.(P).CopyFrom(src.(P)) }
 
 func (k PredictorKind) valid() bool { return k >= 0 && int(k) < len(predictors) }
 
@@ -297,7 +307,7 @@ type Result struct {
 
 // machine bundles one wired simulation: workload, hierarchy, core and the
 // optional runahead system. Run builds one and drives it from reset;
-// RunFromWarmup builds one and restores a warmup blob into it.
+// RunFromWarmup builds one and copies a warm machine's state into it.
 type machine struct {
 	w    *workloads.Workload
 	cfg  Config
@@ -374,7 +384,7 @@ func (m *machine) run() (*Result, error) {
 	}
 	// In WarmupBarrier mode the runahead system attaches here, at the
 	// drained boundary; the boundary snapshot then sees it at zero state,
-	// exactly as a run forked from a warmup blob does.
+	// exactly as a run forked from a shared warmup does.
 	m.attachBR()
 	boundary := snapshot(m.c, m.sys, m.hier)
 	if tr := m.cfg.Trace; tr.Enabled() {

@@ -17,30 +17,24 @@ func TestCountersRoundTrip(t *testing.T) {
 	h.Add(41)
 
 	fresh := NewCounters()
-	simtest.RoundTrip(t, "counters", c.StateVersion(), c.SaveState, fresh.LoadState, fresh.SaveState)
+	fresh.CopyFrom(c)
 	simtest.RequireDeepEqual(t, "counter values", c.Snapshot(), fresh.Snapshot())
+	fresh.Inc("zeta")
+	if got := c.Get("zeta"); got != 7 {
+		t.Fatalf("incrementing the copy changed the original: zeta = %d, want 7", got)
+	}
 }
 
 // TestCountersLoadIntoLaterRegistrations pins the lazily-registered-counter
-// case: restoring into an instance that already registered other names must
+// case: copying into an instance that already registered other names must
 // keep both sets intact.
 func TestCountersLoadIntoLaterRegistrations(t *testing.T) {
 	c := NewCounters()
 	c.Add("saved", 3)
-	w := brstate.NewWriter()
-	w.Section("c", c.StateVersion(), c.SaveState)
 
 	fresh := NewCounters()
 	fresh.Add("preexisting", 9)
-	r, err := brstate.NewReader(w.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var loadErr error
-	r.Section("c", fresh.StateVersion(), func(r *brstate.Reader) { loadErr = fresh.LoadState(r) })
-	if loadErr != nil || r.Err() != nil {
-		t.Fatalf("load: %v / %v", loadErr, r.Err())
-	}
+	fresh.CopyFrom(c)
 	if got := fresh.Get("saved"); got != 3 {
 		t.Fatalf("saved counter = %d, want 3", got)
 	}

@@ -212,3 +212,24 @@ func Mean(vals []float64) float64 {
 	}
 	return sum / float64(len(vals))
 }
+
+// CopyFrom sets each counter registered in w to w's value, registering in c
+// the names it lacks; c's other counters keep their values. w is only read.
+func (c *Counters) CopyFrom(w *Counters) {
+	for i, name := range w.names {
+		j, ok := c.idx[name]
+		if !ok {
+			j = c.slot(name)
+		}
+		c.vals[j] = w.vals[i]
+	}
+}
+
+// Snapshot returns all counter values keyed by name (a detached copy).
+func (c *Counters) Snapshot() map[string]uint64 {
+	out := make(map[string]uint64, len(c.names))
+	for i, name := range c.names {
+		out[name] = c.vals[i]
+	}
+	return out
+}
