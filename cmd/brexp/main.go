@@ -223,26 +223,7 @@ func main() {
 		return
 	}
 
-	opts := br.DefaultExperimentOptions()
-	if c.quick {
-		opts = br.QuickExperimentOptions()
-	}
-	if c.instrs > 0 {
-		opts.Instrs = c.instrs
-	}
-	if c.warmup > 0 {
-		opts.Warmup = c.warmup
-	}
-	if c.sweepInstrs > 0 {
-		opts.SweepInstrs = c.sweepInstrs
-	}
-	opts.Jobs = c.jobs
-	opts.CacheDir = c.cacheDir
-	opts.ShareWarmup = c.shareWarmup
-	if c.verbose {
-		opts.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
-	}
-	s := br.NewExperiments(opts)
+	s := c.suite()
 
 	if c.mode == modeWorkload {
 		res, err := s.RunNamed(c.workload, c.predictor, c.brConfig)
@@ -272,39 +253,73 @@ func main() {
 		return
 	}
 
-	selected, err := selectFigures(c.figure)
-	if err != nil {
+	if err := printFigures(os.Stdout, s, c.figure, c.asJSON); err != nil {
 		fmt.Fprintf(os.Stderr, "brexp: %v\n", err)
 		os.Exit(1)
 	}
-	emit := func(t *stats.Table) {
-		if c.asJSON {
-			enc := json.NewEncoder(os.Stdout)
+}
+
+// suite builds the experiment suite the figure and -workload modes run on,
+// from the budget and operational flags.
+func (c *cli) suite() *experiments.Suite {
+	opts := br.DefaultExperimentOptions()
+	if c.quick {
+		opts = br.QuickExperimentOptions()
+	}
+	if c.instrs > 0 {
+		opts.Instrs = c.instrs
+	}
+	if c.warmup > 0 {
+		opts.Warmup = c.warmup
+	}
+	if c.sweepInstrs > 0 {
+		opts.SweepInstrs = c.sweepInstrs
+	}
+	opts.Jobs = c.jobs
+	opts.CacheDir = c.cacheDir
+	opts.ShareWarmup = c.shareWarmup
+	if c.verbose {
+		opts.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
+	}
+	return br.NewExperiments(opts)
+}
+
+// printFigures renders the tables and figures that the -figure list spec
+// selects to out, as text or as JSON, in selectFigures' order.
+func printFigures(out io.Writer, s *experiments.Suite, spec string, asJSON bool) error {
+	selected, err := selectFigures(spec)
+	if err != nil {
+		return err
+	}
+	emit := func(t *stats.Table) error {
+		if asJSON {
+			enc := json.NewEncoder(out)
 			enc.SetIndent("", "  ")
-			if err := enc.Encode(t); err != nil {
-				fmt.Fprintf(os.Stderr, "brexp: %v\n", err)
-				os.Exit(1)
-			}
-			return
+			return enc.Encode(t)
 		}
-		fmt.Println(t)
+		_, err := fmt.Fprintln(out, t)
+		return err
 	}
 	for _, name := range selected {
 		if name == "tables" {
-			emit(br.Table1())
-			emit(br.Table2())
-			emit(br.AreaTable())
+			for _, t := range []*stats.Table{br.Table1(), br.Table2(), br.AreaTable()} {
+				if err := emit(t); err != nil {
+					return err
+				}
+			}
 			continue
 		}
 		// selectFigures returns only registered names.
 		table, _ := experiments.FigureByName(name)
 		t, err := table(s)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "brexp: figure %s: %v\n", name, err)
-			os.Exit(1)
+			return fmt.Errorf("figure %s: %w", name, err)
 		}
-		emit(t)
+		if err := emit(t); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // selectFigures parses -figure, a comma-separated, case-insensitive list of
