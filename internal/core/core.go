@@ -268,9 +268,9 @@ func (c *Core) Run(maxRetired uint64) (uint64, error) {
 // would only have advanced the clock and, when the icache fill is the
 // binding stall, bumped the fetch-stall counter; the skip applies exactly
 // those effects, so it is result-invariant (pinned by the skip-equivalence
-// test, and defeatable via Config.DisableCycleSkip).
+// test, which steps Cycle without it).
 func (c *Core) skipDeadCycles() {
-	if c.cfg.DisableCycleSkip || len(c.rob) != 0 || c.rsCount != 0 || len(c.fetchQ) != 0 || c.fetchDisabled {
+	if len(c.rob) != 0 || c.rsCount != 0 || len(c.fetchQ) != 0 || c.fetchDisabled {
 		return
 	}
 	if c.ext != nil && !c.ext.Idle() {

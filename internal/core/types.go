@@ -50,11 +50,6 @@ type Config struct {
 
 	// UopBytes is the footprint of one micro-op in the instruction cache.
 	UopBytes uint64
-
-	// DisableCycleSkip turns off the dead-cycle fast-forward in Run. The
-	// skip is result-invariant (pinned by the skip-equivalence test); this
-	// knob exists so that test can compare both modes.
-	DisableCycleSkip bool
 }
 
 // Validate checks the pipeline geometry: a malformed width or zero-sized

@@ -298,14 +298,3 @@ func (h *HBT) AGSet(hardPC uint64) []uint64 {
 	}
 	return h.agScratch[:n]
 }
-
-// Hard returns all PCs currently considered hard-to-predict.
-func (h *HBT) Hard() []uint64 {
-	var out []uint64
-	for i := range h.entries {
-		if h.entries[i].valid && h.entries[i].misp >= mispCtrMax {
-			out = append(out, h.entries[i].pc)
-		}
-	}
-	return out
-}

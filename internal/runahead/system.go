@@ -97,9 +97,6 @@ func New(cfg Config, dcache *cache.Cache, mem *emu.Memory) *System {
 	return s
 }
 
-// Config returns the system configuration.
-func (s *System) Config() Config { return s.cfg }
-
 // SetTrace attaches the structured event tracer to the system and its
 // subunits (DCE, prediction queues). A nil tracer disables tracing.
 func (s *System) SetTrace(tr *trace.Tracer) {

@@ -160,9 +160,11 @@ func TestWarmupSharingPreconditions(t *testing.T) {
 	}
 }
 
-// TestCycleSkipInvisible runs the same configs with the dead-cycle skip
-// disabled and requires bit-identical Results: skipping cycles in which
-// nothing can happen must be a pure wall-clock optimization.
+// TestCycleSkipInvisible compares each run with a reference that steps
+// Core.Cycle through the warmup and measured budgets itself, so it never
+// takes Core.Run's dead-cycle skip, and requires bit-identical Results:
+// skipping cycles in which nothing can happen must be a pure wall-clock
+// optimization.
 func TestCycleSkipInvisible(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
@@ -177,12 +179,19 @@ func TestCycleSkipInvisible(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		slow := cfg
-		slow.Core.DisableCycleSkip = true
-		ref, err := Run(mustWorkload(t, "mcf_17"), slow)
+		m, err := newMachine(mustWorkload(t, "mcf_17"), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		step := func(retired uint64) {
+			for m.c.Ctr.Retired.Get() < retired && !m.c.Halted() {
+				m.c.Cycle()
+			}
+		}
+		step(cfg.Warmup)
+		boundary := snapshot(m.c, m.sys, m.hier)
+		step(boundary.retired + cfg.MaxInstrs)
+		ref := m.finish(boundary)
 		if !reflect.DeepEqual(fast, ref) {
 			t.Errorf("cycle skip changed results (br=%v):\nskip: %+v\nref:  %+v", br != nil, fast, ref)
 		}
