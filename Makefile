@@ -48,9 +48,10 @@ bench-smoke:
 
 ## race: the packages with cross-structure pointer protocols, the
 ## parallel experiment runner and the job-queue server get an extra
-## race-detector pass.
+## race-detector pass. internal/runahead alone takes about 7 min of it on
+## 2 vCPUs, so the per-package limit is raised above go test's 10 min.
 race:
-	$(GO) test -race ./internal/sim ./internal/runahead ./internal/experiments/... ./internal/server
+	$(GO) test -race -timeout 20m ./internal/sim ./internal/runahead ./internal/experiments/... ./internal/server
 
 ## bench-json: record every BENCHMARK.json workload over three seeds
 ## through bench/run.sh (about 7 min on 2 vCPUs) as the committed
