@@ -1,15 +1,15 @@
 // The persistent run cache. With Options.CacheDir set, every completed
-// simulation point is serialized to disk (content-addressed by run key plus
-// codec versions, in one directory per simulator epoch), and later suite
-// invocations load it back instead of simulating — a warm suite executes
-// zero simulations and renders
-// byte-identical tables, and a suite killed mid-run restarts by recomputing
-// only the points it had not finished (DESIGN.md §10).
+// simulation point is serialized to disk under its point ID, in one
+// directory per simulator epoch, and later suite invocations load it back
+// instead of simulating — a warm suite executes zero simulations and
+// renders byte-identical tables, and a suite killed mid-run restarts by
+// recomputing only the points it had not finished (DESIGN.md §10).
 package experiments
 
 import (
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -22,65 +22,67 @@ import (
 )
 
 // resultStateVersion is the sim.Result payload version inside a cache entry.
-// Bump it when the Result codec below changes; old entries then hash to
-// different filenames and are simply recomputed.
+// Bump it when the Result codec below changes; every point ID then changes
+// and old entries are simply recomputed.
 const resultStateVersion = 1
 
-// cacheID content-addresses one run: the suite key plus everything else
-// that changes the bytes a run produces — the envelope format, the Result
-// codec version, the warmup budget, the workload scale, the predictor, the
-// Branch Runahead configuration and WarmupBarrier mode (whose boundary
-// drain and deferred BR attach are observable in the result). The key
-// names only the workload, the variant and the measured budget, so without
-// the rest two suites that differ in warmup or scale would share entries.
-// The BR and mode parts are appended only when they are set.
-func (s *Suite) cacheID(key string, cfg sim.Config) string {
+// pointID identifies one simulation point: an FNV-64a hash of everything
+// the suite varies that the point's result depends on — the canonical
+// workload, the workload scale, the warmup and measured budgets, the
+// predictor, the Branch Runahead configuration, WarmupBarrier mode (whose
+// boundary drain and deferred BR attach are observable in the result) and
+// the envelope and Result codec versions. It keys the runner's
+// singleflight and names the point's cache entry, so two figures, or a
+// figure and a named run, that simulate the same configuration share one
+// run. The parts are streamed into the hash because every warm brserve
+// request computes one. The BR and mode parts are written only when set.
+func (s *Suite) pointID(wl string, cfg sim.Config) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|fmt%d|res%d|warm%d|scale%+v|pred%s", key, brstate.FormatVersion,
-		resultStateVersion, cfg.Warmup, s.opts.Scale, cfg.Predictor)
+	fmt.Fprintf(h, "%s|scale%+v|warm%d|instrs%d|pred%s|fmt%d|res%d", wl, s.opts.Scale,
+		cfg.Warmup, cfg.MaxInstrs, cfg.Predictor, brstate.FormatVersion, resultStateVersion)
 	if cfg.BR != nil {
 		fmt.Fprintf(h, "|br%+v", *cfg.BR)
 	}
 	if cfg.WarmupBarrier {
-		fmt.Fprintf(h, "|warmbar1")
+		io.WriteString(h, "|warmbar1")
 	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	return h.Sum64()
 }
 
-// cachePath is the completed-result file for a run key, in the directory
-// of the simulator's epoch.
-func (s *Suite) cachePath(key string, cfg sim.Config) string {
-	return filepath.Join(s.opts.CacheDir, fmt.Sprintf("e%d", sim.Epoch), "run-"+s.cacheID(key, cfg)+".brres")
+// cachePath is the completed-result file of a point, in the directory of
+// the simulator's epoch.
+func (s *Suite) cachePath(id uint64) string {
+	return filepath.Join(s.opts.CacheDir, fmt.Sprintf("e%d", sim.Epoch), fmt.Sprintf("run-%016x.brres", id))
 }
 
-// cacheLoad returns the cached result for key, or ok=false on any miss —
-// including unreadable, truncated, or version-skewed entries, which are
+// cacheLoad returns the cached result of point id, or ok=false on any miss
+// — including unreadable, truncated, or version-skewed entries, which are
 // treated as absent and recomputed (the store below then overwrites them).
-func (s *Suite) cacheLoad(key string, cfg sim.Config) (*sim.Result, bool) {
+func (s *Suite) cacheLoad(id uint64) (*sim.Result, bool) {
 	if s.opts.CacheDir == "" {
 		return nil, false
 	}
-	blob, err := os.ReadFile(s.cachePath(key, cfg))
+	blob, err := os.ReadFile(s.cachePath(id))
 	if err != nil {
 		return nil, false
 	}
-	return decodeCacheEntry(key, blob)
+	return decodeCacheEntry(id, blob)
 }
 
-// decodeCacheEntry decodes one on-disk cache blob, verifying it belongs to
-// key. Any malformed, truncated, or key-mismatched blob, or one with bytes
-// after its last section, is a miss (ok=false), never a panic —
+// decodeCacheEntry decodes one on-disk cache blob, verifying it stores
+// point id. Any malformed, truncated, or ID-mismatched blob, or one with
+// bytes after its last section, is a miss (ok=false), never a panic —
 // FuzzLoadResult drives this path with mutated entries.
-func decodeCacheEntry(key string, blob []byte) (*sim.Result, bool) {
+func decodeCacheEntry(id uint64, blob []byte) (*sim.Result, bool) {
 	r, err := brstate.NewReader(blob)
 	if err != nil {
 		return nil, false
 	}
-	keyOK := false
-	r.Section("key", resultStateVersion, func(r *brstate.Reader) {
-		keyOK = r.String() == key
+	idOK := false
+	r.Section("id", resultStateVersion, func(r *brstate.Reader) {
+		idOK = r.U64() == id
 	})
-	if r.Err() != nil || !keyOK {
+	if r.Err() != nil || !idOK {
 		return nil, false
 	}
 	var res *sim.Result
@@ -93,11 +95,11 @@ func decodeCacheEntry(key string, blob []byte) (*sim.Result, bool) {
 	return res, true
 }
 
-// encodeCacheEntry renders the on-disk form of one completed result.
-func encodeCacheEntry(key string, res *sim.Result) []byte {
+// encodeCacheEntry renders the on-disk form of point id's result.
+func encodeCacheEntry(id uint64, res *sim.Result) []byte {
 	w := brstate.NewWriter()
-	w.Section("key", resultStateVersion, func(w *brstate.Writer) {
-		w.String(key)
+	w.Section("id", resultStateVersion, func(w *brstate.Writer) {
+		w.U64(id)
 	})
 	w.Section("result", resultStateVersion, func(w *brstate.Writer) {
 		saveResult(w, res)
@@ -105,14 +107,14 @@ func encodeCacheEntry(key string, res *sim.Result) []byte {
 	return w.Bytes()
 }
 
-// cacheStore writes the completed result for key atomically (temp file plus
-// rename), so a concurrent or interrupted writer can never leave a partial
-// entry behind a valid filename.
-func (s *Suite) cacheStore(key string, cfg sim.Config, res *sim.Result) error {
+// cacheStore writes point id's result atomically (temp file plus rename),
+// so a concurrent or interrupted writer can never leave a partial entry
+// behind a valid filename.
+func (s *Suite) cacheStore(id uint64, res *sim.Result) error {
 	if s.opts.CacheDir == "" {
 		return nil
 	}
-	return atomicWrite(s.cachePath(key, cfg), encodeCacheEntry(key, res))
+	return atomicWrite(s.cachePath(id), encodeCacheEntry(id, res))
 }
 
 // execute runs one simulation point from reset. Exactly one noteExecuted

@@ -103,11 +103,12 @@ func TestCorruptCacheEntryRecomputed(t *testing.T) {
 	}
 }
 
-// TestCacheAddressCoversRunInputs: the run key names the workload, the
-// variant and the measured budget, and nothing else. Two suites over one
-// cache directory that differ only in warmup budget or only in workload
-// scale must therefore not share entries, and a point's address must change
-// with the predictor and Branch Runahead configuration behind its key.
+// TestCacheAddressCoversRunInputs: a point's ID, which names its cache
+// entry, covers everything the suite varies that its result depends on.
+// Two suites over one cache directory that differ only in warmup budget or
+// only in workload scale must therefore not share entries, and the ID must
+// change with the workload, the measured budget, the predictor, the Branch
+// Runahead configuration and WarmupBarrier mode.
 func TestCacheAddressCoversRunInputs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
@@ -139,16 +140,29 @@ func TestCacheAddressCoversRunInputs(t *testing.T) {
 
 	s := NewSuite(cacheTestOptions(t.TempDir()))
 	mini, big := runahead.Mini(), runahead.Big()
-	cfg := s.simConfig(vBR("mini", mini), 40_000)
-	id := s.cacheID("mcf_17/mini/40000", cfg)
-	cfg.BR = &big
-	if s.cacheID("mcf_17/mini/40000", cfg) == id {
-		t.Error("changing the BR configuration behind a key kept its cache address")
+	ref := s.simConfig(vBR("mini", mini), 40_000)
+	id := s.pointID("mcf_17", ref)
+	if s.pointID("mcf_17", s.simConfig(vBR("another-label", mini), 40_000)) != id {
+		t.Error("the variant label changed the point ID")
 	}
-	cfg.BR = &mini
-	cfg.Predictor = vMTage().pred
-	if s.cacheID("mcf_17/mini/40000", cfg) == id {
-		t.Error("changing the predictor behind a key kept its cache address")
+	if s.pointID("leela_17", ref) == id {
+		t.Error("changing the workload kept the point ID")
+	}
+	for _, c := range []struct {
+		name   string
+		change func(*sim.Config)
+	}{
+		{"measured budget", func(c *sim.Config) { c.MaxInstrs++ }},
+		{"BR config", func(c *sim.Config) { c.BR = &big }},
+		{"BR removal", func(c *sim.Config) { c.BR = nil }},
+		{"predictor", func(c *sim.Config) { c.Predictor = vMTage().pred }},
+		{"barrier mode", func(c *sim.Config) { c.WarmupBarrier = true }},
+	} {
+		cfg := ref
+		c.change(&cfg)
+		if s.pointID("mcf_17", cfg) == id {
+			t.Errorf("changing the %s kept the point ID", c.name)
+		}
 	}
 }
 
@@ -167,12 +181,12 @@ func TestResultCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, ok := s.cacheLoad("mcf_17/"+v.key+"/40000", s.simConfig(v, o.Instrs))
+		got, ok := s.cacheLoad(s.pointID("mcf_17", s.simConfig(v, o.Instrs)))
 		if !ok {
-			t.Fatalf("%s: cache entry not loadable", v.key)
+			t.Fatalf("%s: cache entry not loadable", v.label)
 		}
 		if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("%s: decoded result differs:\nwant %+v\ngot  %+v", v.key, ref, got)
+			t.Fatalf("%s: decoded result differs:\nwant %+v\ngot  %+v", v.label, ref, got)
 		}
 	}
 }

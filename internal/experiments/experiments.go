@@ -19,6 +19,7 @@ import (
 	"repro/internal/runahead"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -34,21 +35,22 @@ type Options struct {
 	Workloads []string
 	// SweepWorkloads restricts the Figure 13 sweep set.
 	SweepWorkloads []string
-	// Progress, when non-nil, receives one line per completed run. Within a
-	// figure, lines are flushed in sorted run-key order once the figure's
+	// Progress, when non-nil, receives one line per completed point. Within
+	// a figure, lines are flushed in sorted label order once the figure's
 	// whole batch has completed, so the stream is reproducible for any Jobs
-	// value. The callback itself is always invoked from a single goroutine.
+	// value. A point a figure shares with an earlier one prints no line.
+	// The callback itself is always invoked from a single goroutine.
 	Progress func(string)
 	// Jobs bounds how many simulations run concurrently; <= 0 selects
 	// GOMAXPROCS. Results are byte-identical for every value: each run owns
 	// its whole simulator object graph, and tables and Progress lines are
-	// assembled from sorted keys after the batch completes.
+	// assembled in spec and sorted label order after the batch completes.
 	Jobs int
 	// CacheDir, when non-empty, enables the persistent run cache: every
-	// completed simulation point is written to this directory
-	// (content-addressed by run key and codec version) and reused by later
-	// suite invocations, which then execute zero simulations and render
-	// byte-identical tables. Empty turns off both cache reads and writes.
+	// completed simulation point is written to this directory under its
+	// point ID and reused by later suite invocations, which then execute
+	// zero simulations and render byte-identical tables. Empty turns off
+	// both cache reads and writes.
 	// See cache.go and DESIGN.md §10.
 	CacheDir string
 	// Interrupt, when non-nil, is polled at the start of every simulation
@@ -58,9 +60,9 @@ type Options struct {
 	// internal/server is built on it. It is called concurrently from
 	// worker goroutines and must be safe for that.
 	Interrupt func() error
-	// Notify, when non-nil, is invoked with the run key each time a point
-	// completes, whether served from cache or executed. Unlike Progress it
-	// fires in completion order — it exists for real-time heartbeats
+	// Notify, when non-nil, is invoked with a point's label each time the
+	// point completes, whether served from cache or executed. Unlike
+	// Progress it fires in completion order — it exists for real-time heartbeats
 	// (job progress in internal/server), not for reproducible output.
 	// Invocations are serialized; the callback never runs concurrently
 	// with itself.
@@ -100,17 +102,18 @@ func QuickOptions() Options {
 	}
 }
 
-// Suite runs simulations on demand and caches them, so the baseline run of
-// a benchmark is shared across figures. Runs execute on a bounded worker
-// pool (Options.Jobs) with singleflight deduplication, and every FigureN
-// first submits its full run set as one batch before assembling the table
-// from completed results — see runner.go.
+// Suite runs simulations on demand and caches them by point ID, so a
+// configuration that several figures simulate, such as a benchmark's
+// baseline, runs once. Runs execute on a bounded worker pool (Options.Jobs)
+// with singleflight deduplication, and every FigureN submits its full run
+// set as one batch and assembles its table from the batch's results — see
+// runner.go.
 type Suite struct {
 	opts   Options
 	runner *runner
 
 	// progressMu guards the Progress batching state: while a batch is open,
-	// completed runs buffer their lines keyed by run key and endBatch
+	// completed runs buffer their lines keyed by label and endBatch
 	// flushes them sorted.
 	progressMu sync.Mutex
 	batchDepth int
@@ -122,8 +125,8 @@ type Suite struct {
 	// traceMu guards traceWl, the memo of resolved trace-backed workloads
 	// keyed by both the requested spec ("trace:name", "trace:path") and the
 	// canonical fingerprinted name it resolved to — so each trace file is
-	// read and validated once per suite, and the miss path of run can fetch
-	// the workload its canonicalized key was derived from.
+	// read and validated once per suite, and the miss path of runPoint can
+	// fetch the workload its canonical name denotes.
 	traceMu sync.Mutex
 	traceWl map[string]*workloads.Workload
 }
@@ -157,84 +160,91 @@ func (s *Suite) sweepNames() []string {
 	return s.names()
 }
 
-// variant describes one simulator configuration.
+// variant describes one simulator configuration. Its label names the
+// variant's points in Progress lines and Notify calls; what a point
+// simulates, and so its identity, is its configuration (pointID).
 type variant struct {
-	key  string
-	pred sim.PredictorKind
-	br   *runahead.Config
+	label string
+	pred  sim.PredictorKind
+	br    *runahead.Config
 }
 
-// vPred is predictor k alone, keyed by its registry name.
-func vPred(k sim.PredictorKind) variant { return variant{key: k.String(), pred: k} }
+// vPred is predictor k alone, labelled by its registry name.
+func vPred(k sim.PredictorKind) variant { return variant{label: k.String(), pred: k} }
 
 func vTage64() variant { return vPred(sim.PredTage64) }
 func vTage80() variant { return vPred(sim.PredTage80) }
 func vMTage() variant  { return vPred(sim.PredMTage) }
 
-func vBR(name string, cfg runahead.Config) variant {
-	c := cfg
-	return variant{key: name, pred: sim.PredTage64, br: &c}
+func vBR(label string, cfg runahead.Config) variant {
+	return variant{label: label, pred: sim.PredTage64, br: &cfg}
 }
 
-func vMTageBR(cfg runahead.Config) variant {
-	c := cfg
-	return variant{key: "mtage+big", pred: sim.PredMTage, br: &c}
-}
-
-// run returns the (cached) result for workload wl under variant v, with the
-// given instruction budget. Safe for concurrent callers: the runner
-// executes each key at most once and blocks duplicates until the owning
-// execution completes. With Options.CacheDir set, completed points are
-// loaded from disk instead of simulated; either way the same Progress line
-// is emitted, so warm and cold suites produce identical output streams.
+// run returns the result for workload wl under variant v, with the given
+// instruction budget, as a batch of one.
 func (s *Suite) run(wl string, v variant, instrs uint64) (*sim.Result, error) {
-	// Trace workloads canonicalize to their fingerprinted name before the
-	// key is formed, so the run cache addresses the trace content: two
-	// suites pointed at the same path hit the same entries only while the
-	// file's bytes are identical.
-	wl, err := s.canonicalName(wl)
+	p, err := s.resolve(runSpec{wl: wl, v: v, instrs: instrs})
 	if err != nil {
 		return nil, err
 	}
-	key := fmt.Sprintf("%s/%s/%d", wl, v.key, instrs)
-	return s.runner.do(key, func() (*sim.Result, error) {
+	s.beginBatch()
+	defer s.endBatch()
+	return s.runPoint(p)
+}
+
+// resolve canonicalizes a spec's workload and builds its configuration and
+// point ID. Trace workloads canonicalize to their fingerprinted name first,
+// so the ID addresses the trace content: two suites pointed at the same
+// path share points only while the file's bytes are identical.
+func (s *Suite) resolve(sp runSpec) (point, error) {
+	wl, err := s.canonicalName(sp.wl)
+	if err != nil {
+		return point{}, err
+	}
+	cfg := s.simConfig(sp.v, sp.instrs)
+	return point{id: s.pointID(wl, cfg), label: fmt.Sprintf("%s/%s/%d", wl, sp.v.label, sp.instrs),
+		wl: wl, v: sp.v, cfg: cfg}, nil
+}
+
+// runPoint returns the (cached) result of point p. Safe for concurrent
+// callers: the runner executes each point ID at most once and blocks
+// duplicates until the owning execution completes. With Options.CacheDir
+// set, completed points are loaded from disk instead of simulated; either
+// way the same Progress line is buffered, so warm and cold suites produce
+// identical output streams.
+func (s *Suite) runPoint(p point) (*sim.Result, error) {
+	return s.runner.do(p.id, func() (*sim.Result, error) {
 		if s.opts.Interrupt != nil {
 			if err := s.opts.Interrupt(); err != nil {
 				return nil, err
 			}
 		}
-		cfg := s.simConfig(v, instrs)
-		if res, ok := s.cacheLoad(key, cfg); ok {
-			s.progress(key, runLine(wl, v.key, res))
-			s.notify(key)
-			return res, nil
+		res, ok := s.cacheLoad(p.id)
+		if !ok {
+			w, err := s.workload(p.wl)
+			if err != nil {
+				return nil, err
+			}
+			if p.cfg.WarmupBarrier && p.cfg.Warmup > 0 {
+				res, err = s.executeShared(w, p.cfg)
+			} else {
+				res, err = s.execute(w, p.cfg)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("experiments: %s under %s: %w", p.wl, p.v.label, err)
+			}
+			if err := s.cacheStore(p.id, res); err != nil {
+				return nil, fmt.Errorf("experiments: %s under %s: run cache: %w", p.wl, p.v.label, err)
+			}
 		}
-		w, err := s.workload(wl)
-		if err != nil {
-			return nil, err
-		}
-		var res *sim.Result
-		if cfg.WarmupBarrier && cfg.Warmup > 0 {
-			res, err = s.executeShared(w, cfg)
-		} else {
-			res, err = s.execute(w, cfg)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s under %s: %w", wl, v.key, err)
-		}
-		if err := s.cacheStore(key, cfg, res); err != nil {
-			return nil, fmt.Errorf("experiments: %s under %s: run cache: %w", wl, v.key, err)
-		}
-		s.progress(key, runLine(wl, v.key, res))
-		s.notify(key)
+		s.progress(p.label, runLine(p.wl, p.v.label, res))
+		s.notify(p.label)
 		return res, nil
 	})
 }
 
 // canonicalName resolves "trace:" workload names to their canonical
-// fingerprinted form; every other name passes through untouched (so the keys
-// of all pre-existing runs are byte-identical to what they were before trace
-// workloads existed).
+// fingerprinted form; every other name passes through untouched.
 func (s *Suite) canonicalName(wl string) (string, error) {
 	if !strings.HasPrefix(wl, workloads.TracePrefix) {
 		return wl, nil
@@ -270,24 +280,22 @@ func (s *Suite) workload(wl string) (*workloads.Workload, error) {
 	return workloads.ByName(wl, s.opts.Scale)
 }
 
-// notify delivers one completed run key to Options.Notify, serialized.
-func (s *Suite) notify(key string) {
+// notify delivers one completed point's label to Options.Notify,
+// serialized.
+func (s *Suite) notify(label string) {
 	if s.opts.Notify == nil {
 		return
 	}
 	s.notifyMu.Lock()
 	defer s.notifyMu.Unlock()
-	s.opts.Notify(key)
+	s.opts.Notify(label)
 }
 
-// namedVariant resolves public (predictor, BR config) names — the
-// registries' sim.ParsePredictor and runahead.ConfigByName — onto the
-// figures' variant-key convention so named runs alias onto figure cache
-// entries: a bare predictor keeps its own key ("tage64", "ldbp"), tage64
-// plus a BR config takes the config's key ("mini", "big", "core-only" — the
-// Figure 10 series), mtage+big is Figure 11's "mtage+big", and any other
-// predictor with Mini layered on top is Figure 15's "<pred>+br". Remaining
-// combinations get the explicit "<pred>+<br>" key.
+// namedVariant resolves public (predictor, BR config) names, those of the
+// registries' sim.ParsePredictor and runahead.ConfigByName, to a variant
+// labelled "<predictor>" or "<predictor>+<br>". A named point that equals
+// a figure point has its point ID, so the two share one run and one cache
+// entry.
 func namedVariant(predictor, brName string) (variant, error) {
 	pred, err := sim.ParsePredictor(predictor)
 	if err != nil {
@@ -300,28 +308,35 @@ func namedVariant(predictor, brName string) (variant, error) {
 	if err != nil {
 		return variant{}, err
 	}
-	switch {
-	case pred == sim.PredTage64:
-		return variant{key: brName, pred: pred, br: &cfg}, nil
-	case pred == sim.PredMTage && brName == "big":
-		return variant{key: "mtage+big", pred: pred, br: &cfg}, nil
-	case brName == "mini":
-		return variant{key: predictor + "+br", pred: pred, br: &cfg}, nil
-	default:
-		return variant{key: predictor + "+" + brName, pred: pred, br: &cfg}, nil
-	}
+	return variant{label: predictor + "+" + brName, pred: pred, br: &cfg}, nil
 }
 
 // RunNamed executes (or loads from cache) one simulation point named by its
 // public predictor and BR configuration names, at the suite's Instrs
-// budget. brName "" runs the predictor alone. Safe for concurrent callers,
-// like run.
+// budget. brName "" runs the predictor alone. Safe for concurrent callers.
 func (s *Suite) RunNamed(wl, predictor, brName string) (*sim.Result, error) {
 	v, err := namedVariant(predictor, brName)
 	if err != nil {
 		return nil, err
 	}
 	return s.run(wl, v, s.opts.Instrs)
+}
+
+// TraceNamed simulates the point RunNamed names once more, with tr
+// attached. It runs outside the run cache and the worker pool: tracing
+// leaves the result unchanged, and the trace is the caller's own artifact.
+func (s *Suite) TraceNamed(wl, predictor, brName string, tr *trace.Tracer) (*sim.Result, error) {
+	v, err := namedVariant(predictor, brName)
+	if err != nil {
+		return nil, err
+	}
+	w, err := s.workload(wl)
+	if err != nil {
+		return nil, err
+	}
+	cfg := s.simConfig(v, s.opts.Instrs)
+	cfg.Trace = tr
+	return sim.Run(w, cfg)
 }
 
 // simConfig builds the simulator configuration for one point.
@@ -336,8 +351,8 @@ func (s *Suite) simConfig(v variant, instrs uint64) sim.Config {
 	}
 }
 
-func runLine(wl, vkey string, res *sim.Result) string {
-	return fmt.Sprintf("%-13s %-12s IPC=%.3f MPKI=%.2f", wl, vkey, res.IPC, res.MPKI)
+func runLine(wl, label string, res *sim.Result) string {
+	return fmt.Sprintf("%-13s %-12s IPC=%.3f MPKI=%.2f", wl, label, res.IPC, res.MPKI)
 }
 
 // mpkiImprovement is the paper's metric: (base - br) / base * 100.
@@ -395,6 +410,45 @@ func mispRateOn(res *sim.Result, pcs []uint64) float64 {
 	return 100 * stats.Rate(misp, execs)
 }
 
+// perBenchmark runs every benchmark under each of vs as one batch and adds
+// one row per benchmark to t, whose cells row computes from that
+// benchmark's results in vs order. It returns each column's arithmetic
+// mean, for the caller's mean row.
+func (s *Suite) perBenchmark(t *stats.Table, vs []variant, row func(rs []*sim.Result) []float64) ([]float64, error) {
+	res, err := s.runAll(cross(s.names(), vs, s.opts.Instrs))
+	if err != nil {
+		return nil, err
+	}
+	var cols [][]float64
+	for i, wl := range s.names() {
+		cells := row(res[i*len(vs) : (i+1)*len(vs)])
+		if cols == nil {
+			cols = make([][]float64, len(cells))
+		}
+		for j, c := range cells {
+			cols[j] = append(cols[j], c)
+		}
+		t.AddRowf(wl, cells...)
+	}
+	mean := make([]float64, len(cols))
+	for j, c := range cols {
+		mean[j] = stats.Mean(c)
+	}
+	return mean, nil
+}
+
+// overBase returns a row function whose cells are f of the first result,
+// the baseline, and each later one.
+func overBase(f func(base, r *sim.Result) float64) func([]*sim.Result) []float64 {
+	return func(rs []*sim.Result) []float64 {
+		row := make([]float64, len(rs)-1)
+		for i, r := range rs[1:] {
+			row[i] = f(rs[0], r)
+		}
+		return row
+	}
+}
+
 // Figure1 reproduces the misprediction rate of the hardest branches under
 // TAGE-SC-L (64KB), MTAGE-SC (unlimited), and dependence chains (Big Branch
 // Runahead). The paper's means: 11% / 9% / 5%.
@@ -402,29 +456,14 @@ func (s *Suite) Figure1() (*stats.Table, error) {
 	t := stats.NewTable("Figure 1: misprediction rate (%) of hardest branches",
 		"benchmark", "tage-sc-l-64kb", "mtage-sc", "dependence-chains")
 	vs := []variant{vTage64(), vMTage(), vBR("big", runahead.Big())}
-	if err := s.prefetch(cross(s.names(), vs, s.opts.Instrs)); err != nil {
+	mean, err := s.perBenchmark(t, vs, func(rs []*sim.Result) []float64 {
+		hard := hardestBranches(rs[0], 32)
+		return []float64{mispRateOn(rs[0], hard), mispRateOn(rs[1], hard), mispRateOn(rs[2], hard)}
+	})
+	if err != nil {
 		return nil, err
 	}
-	var a, b, c []float64
-	for _, wl := range s.names() {
-		base, err := s.run(wl, vTage64(), s.opts.Instrs)
-		if err != nil {
-			return nil, err
-		}
-		mt, err := s.run(wl, vMTage(), s.opts.Instrs)
-		if err != nil {
-			return nil, err
-		}
-		br, err := s.run(wl, vBR("big", runahead.Big()), s.opts.Instrs)
-		if err != nil {
-			return nil, err
-		}
-		hard := hardestBranches(base, 32)
-		ra, rb, rc := mispRateOn(base, hard), mispRateOn(mt, hard), mispRateOn(br, hard)
-		a, b, c = append(a, ra), append(b, rb), append(c, rc)
-		t.AddRowf(wl, ra, rb, rc)
-	}
-	t.AddRowf("mean", stats.Mean(a), stats.Mean(b), stats.Mean(c))
+	t.AddRowf("mean", mean...)
 	return t, nil
 }
 
@@ -433,19 +472,13 @@ func (s *Suite) Figure1() (*stats.Table, error) {
 func (s *Suite) Figure2() (*stats.Table, error) {
 	t := stats.NewTable("Figure 2: average dependence chain length (micro-ops)",
 		"benchmark", "avg-chain-uops")
-	if err := s.prefetch(cross(s.names(), []variant{vBR("mini", runahead.Mini())}, s.opts.Instrs)); err != nil {
+	mean, err := s.perBenchmark(t, []variant{vBR("mini", runahead.Mini())}, func(rs []*sim.Result) []float64 {
+		return []float64{rs[0].AvgChainLen}
+	})
+	if err != nil {
 		return nil, err
 	}
-	var lens []float64
-	for _, wl := range s.names() {
-		br, err := s.run(wl, vBR("mini", runahead.Mini()), s.opts.Instrs)
-		if err != nil {
-			return nil, err
-		}
-		lens = append(lens, br.AvgChainLen)
-		t.AddRowf(wl, br.AvgChainLen)
-	}
-	t.AddRowf("mean", stats.Mean(lens))
+	t.AddRowf("mean", mean...)
 	return t, nil
 }
 
@@ -455,25 +488,17 @@ func (s *Suite) Figure3() (*stats.Table, error) {
 	t := stats.NewTable("Figure 3: micro-ops issued increase due to Branch Runahead (%)",
 		"benchmark", "uops-increase", "load-uops-increase")
 	vs := []variant{vTage64(), vBR("mini", runahead.Mini())}
-	if err := s.prefetch(cross(s.names(), vs, s.opts.Instrs)); err != nil {
+	mean, err := s.perBenchmark(t, vs, func(rs []*sim.Result) []float64 {
+		base, br := rs[0], rs[1]
+		return []float64{
+			100 * (float64(br.CoreUops+br.DCEUops)/float64(base.CoreUops) - 1),
+			100 * (float64(br.CoreLoads+br.DCELoads)/float64(base.CoreLoads) - 1),
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
-	var us, ls []float64
-	for _, wl := range s.names() {
-		base, err := s.run(wl, vTage64(), s.opts.Instrs)
-		if err != nil {
-			return nil, err
-		}
-		br, err := s.run(wl, vBR("mini", runahead.Mini()), s.opts.Instrs)
-		if err != nil {
-			return nil, err
-		}
-		du := 100 * (float64(br.CoreUops+br.DCEUops)/float64(base.CoreUops) - 1)
-		dl := 100 * (float64(br.CoreLoads+br.DCELoads)/float64(base.CoreLoads) - 1)
-		us, ls = append(us, du), append(ls, dl)
-		t.AddRowf(wl, du, dl)
-	}
-	t.AddRowf("mean", stats.Mean(us), stats.Mean(ls))
+	t.AddRowf("mean", mean...)
 	return t, nil
 }
 
@@ -482,67 +507,49 @@ func (s *Suite) Figure3() (*stats.Table, error) {
 func (s *Suite) Figure5() (*stats.Table, error) {
 	t := stats.NewTable("Figure 5: dependence chains with affector/guard triggers (%)",
 		"benchmark", "ag-chains-pct")
-	if err := s.prefetch(cross(s.names(), []variant{vBR("mini", runahead.Mini())}, s.opts.Instrs)); err != nil {
+	mean, err := s.perBenchmark(t, []variant{vBR("mini", runahead.Mini())}, func(rs []*sim.Result) []float64 {
+		return []float64{100 * rs[0].AGFraction}
+	})
+	if err != nil {
 		return nil, err
 	}
-	var fs []float64
-	for _, wl := range s.names() {
-		br, err := s.run(wl, vBR("mini", runahead.Mini()), s.opts.Instrs)
-		if err != nil {
-			return nil, err
-		}
-		f := 100 * br.AGFraction
-		fs = append(fs, f)
-		t.AddRowf(wl, f)
-	}
-	t.AddRowf("mean", stats.Mean(fs))
+	t.AddRowf("mean", mean...)
 	return t, nil
 }
 
 // Figure10 reproduces the headline result: MPKI and IPC improvement of
 // 80KB TAGE-SC-L, Core-Only, Mini and Big Branch Runahead over the 64KB
 // TAGE-SC-L baseline. Paper means: MPKI -37.5/-43.6/-47.5%, IPC
-// +8.2/+13.7/+16.9% (80KB TAGE: 0.8% MPKI, 0.3% IPC).
+// +8.2/+13.7/+16.9% (80KB TAGE: 0.8% MPKI, 0.3% IPC). The IPC means are
+// geometric means of the IPC ratios.
 func (s *Suite) Figure10() (*stats.Table, error) {
 	t := stats.NewTable("Figure 10: improvement over 64KB TAGE-SC-L (%)",
 		"benchmark",
 		"mpki-tage80", "mpki-core-only", "mpki-mini", "mpki-big",
 		"ipc-tage80", "ipc-core-only", "ipc-mini", "ipc-big")
 	vs := []variant{
+		vTage64(),
 		vTage80(),
 		vBR("core-only", runahead.CoreOnly()),
 		vBR("mini", runahead.Mini()),
 		vBR("big", runahead.Big()),
 	}
-	if err := s.prefetch(cross(s.names(), append([]variant{vTage64()}, vs...), s.opts.Instrs)); err != nil {
-		return nil, err
-	}
-	sums := make([][]float64, 8)
 	var ipcRatios [4][]float64
-	for _, wl := range s.names() {
-		base, err := s.run(wl, vTage64(), s.opts.Instrs)
-		if err != nil {
-			return nil, err
-		}
+	mean, err := s.perBenchmark(t, vs, func(rs []*sim.Result) []float64 {
+		base := rs[0]
 		row := make([]float64, 8)
-		for i, v := range vs {
-			r, err := s.run(wl, v, s.opts.Instrs)
-			if err != nil {
-				return nil, err
-			}
+		for i, r := range rs[1:] {
 			row[i] = mpkiImprovement(base, r)
 			row[4+i] = ipcImprovement(base, r)
 			ipcRatios[i] = append(ipcRatios[i], r.IPC/base.IPC)
 		}
-		for i, v := range row {
-			sums[i] = append(sums[i], v)
-		}
-		t.AddRowf(wl, row...)
+		return row
+	})
+	if err != nil {
+		return nil, err
 	}
-	mean := make([]float64, 8)
-	for i := 0; i < 4; i++ {
-		mean[i] = stats.Mean(sums[i])
-		mean[4+i] = 100 * (stats.GeoMean(ipcRatios[i]) - 1)
+	for i, ratios := range ipcRatios {
+		mean[4+i] = 100 * (stats.GeoMean(ratios) - 1)
 	}
 	t.AddRowf("mean", mean...)
 	return t, nil
@@ -553,30 +560,11 @@ func (s *Suite) Figure10() (*stats.Table, error) {
 func (s *Suite) Figure11Top() (*stats.Table, error) {
 	t := stats.NewTable("Figure 11 (top): MPKI improvement over 64KB TAGE-SC-L (%)",
 		"benchmark", "mtage", "big-br", "mtage+big-br")
-	vs := []variant{vMTage(), vBR("big", runahead.Big()), vMTageBR(runahead.Big())}
-	if err := s.prefetch(cross(s.names(), append([]variant{vTage64()}, vs...), s.opts.Instrs)); err != nil {
+	big := runahead.Big()
+	vs := []variant{vTage64(), vMTage(), vBR("big", big), {label: "mtage+big", pred: sim.PredMTage, br: &big}}
+	mean, err := s.perBenchmark(t, vs, overBase(mpkiImprovement))
+	if err != nil {
 		return nil, err
-	}
-	sums := make([][]float64, len(vs))
-	for _, wl := range s.names() {
-		base, err := s.run(wl, vTage64(), s.opts.Instrs)
-		if err != nil {
-			return nil, err
-		}
-		row := make([]float64, len(vs))
-		for i, v := range vs {
-			r, err := s.run(wl, v, s.opts.Instrs)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = mpkiImprovement(base, r)
-			sums[i] = append(sums[i], row[i])
-		}
-		t.AddRowf(wl, row...)
-	}
-	mean := make([]float64, len(vs))
-	for i := range vs {
-		mean[i] = stats.Mean(sums[i])
 	}
 	t.AddRowf("mean", mean...)
 	return t, nil
@@ -588,39 +576,20 @@ func (s *Suite) Figure11Top() (*stats.Table, error) {
 func (s *Suite) Figure11Bottom() (*stats.Table, error) {
 	t := stats.NewTable("Figure 11 (bottom): MPKI improvement by initiation policy (%)",
 		"benchmark", "non-speculative", "independent-early", "predictive")
-	mk := func(m runahead.InitMode, key string) variant {
+	mk := func(m runahead.InitMode, label string) variant {
 		cfg := runahead.Mini()
 		cfg.InitMode = m
-		return vBR(key, cfg)
+		return vBR(label, cfg)
 	}
 	vs := []variant{
+		vTage64(),
 		mk(runahead.NonSpeculative, "mini-nonspec"),
 		mk(runahead.IndependentEarly, "mini-indep"),
 		mk(runahead.Predictive, "mini"),
 	}
-	if err := s.prefetch(cross(s.names(), append([]variant{vTage64()}, vs...), s.opts.Instrs)); err != nil {
+	mean, err := s.perBenchmark(t, vs, overBase(mpkiImprovement))
+	if err != nil {
 		return nil, err
-	}
-	sums := make([][]float64, len(vs))
-	for _, wl := range s.names() {
-		base, err := s.run(wl, vTage64(), s.opts.Instrs)
-		if err != nil {
-			return nil, err
-		}
-		row := make([]float64, len(vs))
-		for i, v := range vs {
-			r, err := s.run(wl, v, s.opts.Instrs)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = mpkiImprovement(base, r)
-			sums[i] = append(sums[i], row[i])
-		}
-		t.AddRowf(wl, row...)
-	}
-	mean := make([]float64, len(vs))
-	for i := range vs {
-		mean[i] = stats.Mean(sums[i])
 	}
 	t.AddRowf("mean", mean...)
 	return t, nil
@@ -632,29 +601,19 @@ func (s *Suite) Figure12() (*stats.Table, error) {
 	t := stats.NewTable("Figure 12: prediction breakdown for targeted branches (%)",
 		"benchmark", "inactive", "late", "throttled", "incorrect", "correct")
 	keys := []string{"inactive", "late", "throttled", "incorrect", "correct"}
-	if err := s.prefetch(cross(s.names(), []variant{vBR("mini", runahead.Mini())}, s.opts.Instrs)); err != nil {
-		return nil, err
-	}
-	sums := make([][]float64, len(keys))
-	for _, wl := range s.names() {
-		br, err := s.run(wl, vBR("mini", runahead.Mini()), s.opts.Instrs)
-		if err != nil {
-			return nil, err
-		}
+	mean, err := s.perBenchmark(t, []variant{vBR("mini", runahead.Mini())}, func(rs []*sim.Result) []float64 {
 		var total uint64
 		for _, k := range keys {
-			total += br.Breakdown[k]
+			total += rs[0].Breakdown[k]
 		}
 		row := make([]float64, len(keys))
 		for i, k := range keys {
-			row[i] = stats.Pct(br.Breakdown[k], total)
-			sums[i] = append(sums[i], row[i])
+			row[i] = stats.Pct(rs[0].Breakdown[k], total)
 		}
-		t.AddRowf(wl, row...)
-	}
-	mean := make([]float64, len(keys))
-	for i := range keys {
-		mean[i] = stats.Mean(sums[i])
+		return row
+	})
+	if err != nil {
+		return nil, err
 	}
 	t.AddRowf("mean", mean...)
 	return t, nil
@@ -696,50 +655,38 @@ var sweepAxes = []sweepAxis{
 
 // Figure13 sweeps the Mini configuration's parameters individually toward
 // Big, reporting MPKI improvement relative to Mini. The paper finds window
-// size and chain cache size dominate the Mini-to-Big gap.
+// size and chain cache size dominate the Mini-to-Big gap. Every axis
+// includes Mini's own value, whose points equal the Mini reference and run
+// once.
 func (s *Suite) Figure13() (*stats.Table, []SweepPoint, error) {
-	axes := sweepAxes
 	t := stats.NewTable("Figure 13: MPKI improvement relative to Mini (%), per-parameter sweep",
 		"parameter", "value", "mpki-improvement-vs-mini")
-	var points []SweepPoint
 
-	// Enumerate the whole sweep (mini reference plus every axis point) and
-	// submit it as one batch.
-	specs := cross(s.sweepNames(), []variant{vBR("mini", runahead.Mini())}, s.opts.SweepInstrs)
-	for _, ax := range axes {
+	// The Mini reference, then every axis point, as one batch.
+	vs := []variant{vBR("mini", runahead.Mini())}
+	for _, ax := range sweepAxes {
 		for _, v := range ax.values {
 			cfg := runahead.Mini()
 			ax.apply(&cfg, v)
-			specs = append(specs,
-				cross(s.sweepNames(), []variant{vBR(fmt.Sprintf("mini-%s-%d", ax.name, v), cfg)}, s.opts.SweepInstrs)...)
+			vs = append(vs, vBR(fmt.Sprintf("mini-%s-%d", ax.name, v), cfg))
 		}
 	}
-	if err := s.prefetch(specs); err != nil {
+	names := s.sweepNames()
+	res, err := s.runAll(cross(names, vs, s.opts.SweepInstrs))
+	if err != nil {
 		return nil, nil, err
 	}
 
-	// Mini reference at sweep budget.
-	miniMPKI := make(map[string]float64)
-	for _, wl := range s.sweepNames() {
-		r, err := s.run(wl, vBR("mini", runahead.Mini()), s.opts.SweepInstrs)
-		if err != nil {
-			return nil, nil, err
-		}
-		miniMPKI[wl] = r.MPKI
-	}
-	for _, ax := range axes {
+	var points []SweepPoint
+	k := 0
+	for _, ax := range sweepAxes {
 		for _, v := range ax.values {
-			cfg := runahead.Mini()
-			ax.apply(&cfg, v)
+			k++
 			var imps []float64
-			for _, wl := range s.sweepNames() {
-				r, err := s.run(wl, vBR(fmt.Sprintf("mini-%s-%d", ax.name, v), cfg), s.opts.SweepInstrs)
-				if err != nil {
-					return nil, nil, err
-				}
-				base := miniMPKI[wl]
+			for i := range names {
+				base := res[i*len(vs)].MPKI
 				if base > 0 {
-					imps = append(imps, 100*(base-r.MPKI)/base)
+					imps = append(imps, 100*(base-res[i*len(vs)+k].MPKI)/base)
 				}
 			}
 			imp := stats.Mean(imps)
@@ -757,33 +704,16 @@ func (s *Suite) Figure14() (*stats.Table, error) {
 	t := stats.NewTable("Figure 14: energy change vs baseline (%); lower is better",
 		"benchmark", "core-only", "mini", "big")
 	vs := []variant{
+		vTage64(),
 		vBR("core-only", runahead.CoreOnly()),
 		vBR("mini", runahead.Mini()),
 		vBR("big", runahead.Big()),
 	}
-	if err := s.prefetch(cross(s.names(), append([]variant{vTage64()}, vs...), s.opts.Instrs)); err != nil {
+	mean, err := s.perBenchmark(t, vs, overBase(func(base, r *sim.Result) float64 {
+		return energy.Delta(base.Activity, r.Activity)
+	}))
+	if err != nil {
 		return nil, err
-	}
-	sums := make([][]float64, len(vs))
-	for _, wl := range s.names() {
-		base, err := s.run(wl, vTage64(), s.opts.Instrs)
-		if err != nil {
-			return nil, err
-		}
-		row := make([]float64, len(vs))
-		for i, v := range vs {
-			r, err := s.run(wl, v, s.opts.Instrs)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = energy.Delta(base.Activity, r.Activity)
-			sums[i] = append(sums[i], row[i])
-		}
-		t.AddRowf(wl, row...)
-	}
-	mean := make([]float64, len(vs))
-	for i := range vs {
-		mean[i] = stats.Mean(sums[i])
 	}
 	t.AddRowf("mean", mean...)
 	return t, nil
@@ -813,25 +743,18 @@ func (s *Suite) Figure15() (*stats.Table, error) {
 	preds := figure15Predictors()
 	vs := make([]variant, 0, 2*len(preds))
 	for _, p := range preds {
-		vs = append(vs, vPred(p))
 		br := runahead.Mini()
-		vs = append(vs, variant{key: p.String() + "+br", pred: p, br: &br})
+		vs = append(vs, vPred(p), variant{label: p.String() + "+br", pred: p, br: &br})
 	}
-	if err := s.prefetch(cross(s.names(), vs, s.opts.Instrs)); err != nil {
+	res, err := s.runAll(cross(s.names(), vs, s.opts.Instrs))
+	if err != nil {
 		return nil, err
 	}
 	type agg struct{ mpki, ipc, mpkiBR, ipcBR []float64 }
 	aggs := make([]agg, len(preds))
-	for _, wl := range s.names() {
+	for w, wl := range s.names() {
 		for i, p := range preds {
-			solo, err := s.run(wl, vs[2*i], s.opts.Instrs)
-			if err != nil {
-				return nil, err
-			}
-			with, err := s.run(wl, vs[2*i+1], s.opts.Instrs)
-			if err != nil {
-				return nil, err
-			}
+			solo, with := res[w*len(vs)+2*i], res[w*len(vs)+2*i+1]
 			t.AddRowf(wl+"/"+p.String(), solo.MPKI, solo.IPC, with.MPKI, with.IPC)
 			aggs[i].mpki = append(aggs[i].mpki, solo.MPKI)
 			aggs[i].ipc = append(aggs[i].ipc, solo.IPC)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -132,6 +133,47 @@ func TestSuiteCachesRuns(t *testing.T) {
 	}
 	if runs != 1 {
 		t.Fatalf("cache miss: %d runs for identical request", runs)
+	}
+}
+
+// TestFigure13RunsMiniOnce: every Figure 13 axis includes Mini's own
+// value, and those points equal the Mini reference. A cold sweep therefore
+// executes 28 simulations per sweep workload for its 34 points, and prints
+// one Progress line for each.
+func TestFigure13RunsMiniOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	o := QuickOptions()
+	o.SweepWorkloads = []string{"mcf_17"}
+	o.Warmup = 10_000
+	o.SweepInstrs = 20_000
+	var lines []string
+	o.Progress = func(l string) { lines = append(lines, l) }
+	s := NewSuite(o)
+	_, points, err := s.Figure13()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(points) != 33 {
+		t.Fatalf("Figure 13 has %d axis points, want 33 (34 with the Mini reference)", len(points))
+	}
+	if n := s.RunsExecuted(); n != 28 {
+		t.Errorf("cold Figure 13 executed %d simulations on one workload, want 28", n)
+	}
+	if len(lines) != 28 {
+		t.Errorf("cold Figure 13 printed %d Progress lines, want 28:\n%s", len(lines), strings.Join(lines, "\n"))
+	}
+	// The Mini reference comes first in the batch, so it owns the label.
+	for _, ax := range sweepAxes {
+		for _, v := range ax.values {
+			c := runahead.Mini()
+			ax.apply(&c, v)
+			label := fmt.Sprintf(" mini-%s-%d ", ax.name, v)
+			if c == runahead.Mini() && strings.Contains(strings.Join(lines, "\n"), label) {
+				t.Errorf("Progress names the Mini-equal point%s:\n%s", label, strings.Join(lines, "\n"))
+			}
+		}
 	}
 }
 

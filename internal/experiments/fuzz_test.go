@@ -37,38 +37,38 @@ func fullResult() *sim.Result {
 	}
 }
 
-const fuzzKey = "mcf_17/mini/100000"
+const fuzzID = 0x5eed_f00d_cafe_0001
 
 // TestCacheEntryRoundTrip pins the seed corpus' validity: encode → decode
-// is identity, and a key mismatch or bytes after the last section are a
+// is identity, and an ID mismatch or bytes after the last section are a
 // miss.
 func TestCacheEntryRoundTrip(t *testing.T) {
 	want := fullResult()
-	blob := encodeCacheEntry(fuzzKey, want)
-	got, ok := decodeCacheEntry(fuzzKey, blob)
+	blob := encodeCacheEntry(fuzzID, want)
+	got, ok := decodeCacheEntry(fuzzID, blob)
 	if !ok {
 		t.Fatal("decode of a just-encoded entry missed")
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
 	}
-	if _, ok := decodeCacheEntry("other/key/1", blob); ok {
-		t.Error("entry decoded under the wrong key")
+	if _, ok := decodeCacheEntry(fuzzID+1, blob); ok {
+		t.Error("entry decoded under the wrong point ID")
 	}
 	trailer := len(blob) - 4
 	padded := append(append(append([]byte(nil), blob[:trailer]...), make([]byte, 7)...), blob[trailer:]...)
-	if _, ok := decodeCacheEntry(fuzzKey, padded); ok {
+	if _, ok := decodeCacheEntry(fuzzID, padded); ok {
 		t.Error("entry with bytes after its last section decoded")
 	}
 }
 
 func FuzzLoadResult(f *testing.F) {
-	f.Add(encodeCacheEntry(fuzzKey, fullResult()))
-	f.Add(encodeCacheEntry(fuzzKey, &sim.Result{Workload: "bfs", Config: "tage64"}))
+	f.Add(encodeCacheEntry(fuzzID, fullResult()))
+	f.Add(encodeCacheEntry(fuzzID, &sim.Result{Workload: "bfs", Config: "tage64"}))
 	f.Add([]byte{})
 	f.Add([]byte("BRST"))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		res, ok := decodeCacheEntry(fuzzKey, b)
+		res, ok := decodeCacheEntry(fuzzID, b)
 		if ok && res == nil {
 			t.Fatal("decode reported ok with a nil result")
 		}

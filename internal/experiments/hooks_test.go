@@ -9,49 +9,50 @@ import (
 	"repro/internal/sim"
 )
 
-// TestNamedVariantAliasing pins the key convention that lets a named
-// single run share cache entries with figure points: every (predictor, BR
-// config) pair of the registries, at the keys the run cache has always
-// used. Bimodal's keys follow the same rule as every other predictor.
+// TestNamedVariantAliasing: every (predictor, BR config) pair of the
+// registries names a variant labelled "<predictor>" or "<predictor>+<br>",
+// and a named run that simulates a figure's configuration is that figure's
+// point. After Figure 10 on one workload, RunNamed of each of its five
+// (predictor, BR) pairs executes nothing, and Figure 15 then executes only
+// the 10 of its 12 points that Figure 10 has not run.
 func TestNamedVariantAliasing(t *testing.T) {
-	keys := map[string][4]string{ // predictor -> key alone, +core-only, +mini, +big
-		"tage64":     {"tage64", "core-only", "mini", "big"},
-		"tage80":     {"tage80", "tage80+core-only", "tage80+br", "tage80+big"},
-		"mtage":      {"mtage", "mtage+core-only", "mtage+br", "mtage+big"},
-		"bimodal":    {"bimodal", "bimodal+core-only", "bimodal+br", "bimodal+big"},
-		"gshare":     {"gshare", "gshare+core-only", "gshare+br", "gshare+big"},
-		"perceptron": {"perceptron", "perceptron+core-only", "perceptron+br", "perceptron+big"},
-		"tournament": {"tournament", "tournament+core-only", "tournament+br", "tournament+big"},
-		"ldbp":       {"ldbp", "ldbp+core-only", "ldbp+br", "ldbp+big"},
-		"bullseye":   {"bullseye", "bullseye+core-only", "bullseye+br", "bullseye+big"},
-	}
-	brs := append([]string{""}, runahead.ConfigNames()...)
-	if len(brs) != 4 {
-		t.Fatalf("BR configs %v: the table pins core-only, mini and big", brs[1:])
-	}
-	preds := sim.PredictorNames()
-	if len(preds) != len(keys) {
-		t.Fatalf("registry has %d predictors, the table pins %d", len(preds), len(keys))
-	}
-	for _, pred := range preds {
-		want, ok := keys[pred]
-		if !ok {
-			t.Errorf("predictor %q has no pinned keys", pred)
-			continue
-		}
-		for i, br := range brs {
+	for _, pred := range sim.PredictorNames() {
+		for _, br := range append([]string{""}, runahead.ConfigNames()...) {
 			v, err := namedVariant(pred, br)
 			if err != nil {
 				t.Errorf("namedVariant(%q, %q): %v", pred, br, err)
 				continue
 			}
-			if v.key != want[i] {
-				t.Errorf("namedVariant(%q, %q).key = %q, want %q", pred, br, v.key, want[i])
+			want := pred
+			if br != "" {
+				want += "+" + br
 			}
-			if v.pred.String() != pred || (v.br != nil) != (br != "") || (v.br != nil && v.br.Name != br) {
-				t.Errorf("namedVariant(%q, %q) = %s + %v", pred, br, v.pred, v.br)
+			if v.label != want || v.pred.String() != pred || (v.br != nil) != (br != "") || (v.br != nil && v.br.Name != br) {
+				t.Errorf("namedVariant(%q, %q) = %q: %s + %v", pred, br, v.label, v.pred, v.br)
 			}
 		}
+	}
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	s := NewSuite(cacheTestOptions(""))
+	if _, err := s.Figure10(); err != nil {
+		t.Fatal(err)
+	}
+	fig10 := s.RunsExecuted()
+	for _, p := range [][2]string{{"tage64", ""}, {"tage80", ""}, {"tage64", "core-only"}, {"tage64", "mini"}, {"tage64", "big"}} {
+		if _, err := s.RunNamed("mcf_17", p[0], p[1]); err != nil {
+			t.Fatal(err)
+		}
+		if n := s.RunsExecuted() - fig10; n != 0 {
+			t.Fatalf("RunNamed(mcf_17, %q, %q) after Figure 10 executed %d simulations, want 0", p[0], p[1], n)
+		}
+	}
+	if _, err := s.Figure15(); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.RunsExecuted() - fig10; n != 10 {
+		t.Errorf("Figure 15 after Figure 10 executed %d simulations, want 10", n)
 	}
 }
 
@@ -88,20 +89,20 @@ func TestNotifyFiresPerPoint(t *testing.T) {
 	dir := t.TempDir()
 	collect := func() []string {
 		o := cacheTestOptions(dir)
-		var keys []string
-		o.Notify = func(key string) { keys = append(keys, key) }
+		var labels []string
+		o.Notify = func(label string) { labels = append(labels, label) }
 		s := NewSuite(o)
 		if _, err := s.RunNamed("mcf_17", "tage64", "mini"); err != nil {
 			t.Fatal(err)
 		}
-		return keys
+		return labels
 	}
 	cold := collect()
-	if len(cold) != 1 || !strings.Contains(cold[0], "mcf_17/mini/") {
-		t.Fatalf("cold Notify keys = %v, want one mcf_17/mini point", cold)
+	if len(cold) != 1 || !strings.HasPrefix(cold[0], "mcf_17/tage64+mini/") {
+		t.Fatalf("cold Notify labels = %v, want one mcf_17/tage64+mini point", cold)
 	}
 	warm := collect()
 	if len(warm) != 1 || warm[0] != cold[0] {
-		t.Fatalf("warm Notify keys = %v, want %v", warm, cold)
+		t.Fatalf("warm Notify labels = %v, want %v", warm, cold)
 	}
 }

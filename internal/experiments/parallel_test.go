@@ -47,7 +47,7 @@ func TestFigure10DeterministicAcrossJobs(t *testing.T) {
 		t.Fatal("serial run emitted no Progress lines")
 	}
 	if !sort.StringsAreSorted(ref.lines) {
-		t.Errorf("progress lines not in sorted key order:\n%v", ref.lines)
+		t.Errorf("progress lines not in sorted label order:\n%v", ref.lines)
 	}
 	for _, jobs := range []int{2, 8} {
 		got := render(jobs)
@@ -68,7 +68,7 @@ func TestFigure10DeterministicAcrossJobs(t *testing.T) {
 	}
 }
 
-// TestSuiteRunSingleflight races many callers on one run key and requires
+// TestSuiteRunSingleflight races many callers on one point and requires
 // exactly one execution, with every caller handed the same result.
 func TestSuiteRunSingleflight(t *testing.T) {
 	o := parallelTestOptions()

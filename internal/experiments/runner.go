@@ -1,9 +1,10 @@
 // The parallel run scheduler. Simulation points are embarrassingly
 // parallel — each sim.Run owns its entire object graph (core, hierarchy,
 // predictor, DCE) — so the suite executes them on a bounded worker pool and
-// shares results through a singleflight cache. Everything order-dependent
-// (table assembly, Progress emission) happens outside the pool, from sorted
-// keys, so suite output is byte-identical for any worker count.
+// shares results through a singleflight cache keyed by point ID.
+// Everything order-dependent (table assembly, Progress emission) happens
+// outside the pool, in spec or sorted label order, so suite output is
+// byte-identical for any worker count.
 //
 // This file is the only place in the module where goroutines and sync
 // primitives are allowed; brlint's goroutine-safety rule keeps the
@@ -19,19 +20,19 @@ import (
 )
 
 // runner executes suite runs on a bounded worker pool with singleflight
-// deduplication on the suite's cache key. Its entries map doubles as the
-// thread-safe result store: a key's entry is created exactly once and its
+// deduplication on the point ID. Its entries map doubles as the
+// thread-safe result store: an ID's entry is created exactly once and its
 // result is shared by every later requester.
 type runner struct {
 	sem chan struct{} // one slot per worker
 
 	mu       sync.Mutex
-	entries  map[string]*entry
+	entries  map[uint64]*entry
 	warmups  map[string]*warmEntry
 	executed int // simulations actually executed (deduplicated requests excluded)
 }
 
-// entry is one singleflight slot. The first requester of a key owns the
+// entry is one singleflight slot. The first requester of an ID owns the
 // computation; later requesters block on done and share res/err.
 type entry struct {
 	done chan struct{}
@@ -54,22 +55,22 @@ func newRunner(jobs int) *runner {
 	}
 	return &runner{
 		sem:     make(chan struct{}, jobs),
-		entries: make(map[string]*entry),
+		entries: make(map[uint64]*entry),
 		warmups: make(map[string]*warmEntry),
 	}
 }
 
-// do returns the result for key, invoking compute at most once per key
+// do returns the result for point id, invoking compute at most once per ID
 // across all concurrent callers.
-func (r *runner) do(key string, compute func() (*sim.Result, error)) (*sim.Result, error) {
+func (r *runner) do(id uint64, compute func() (*sim.Result, error)) (*sim.Result, error) {
 	r.mu.Lock()
-	if e, ok := r.entries[key]; ok {
+	if e, ok := r.entries[id]; ok {
 		r.mu.Unlock()
 		<-e.done
 		return e.res, e.err
 	}
 	e := &entry{done: make(chan struct{})}
-	r.entries[key] = e
+	r.entries[id] = e
 	r.mu.Unlock()
 
 	r.sem <- struct{}{} // acquire a worker slot
@@ -134,6 +135,15 @@ type runSpec struct {
 	instrs uint64
 }
 
+// point is one resolved simulation point.
+type point struct {
+	id    uint64
+	label string // "<workload>/<variant label>/<instrs>"
+	wl    string // canonical workload name
+	v     variant
+	cfg   sim.Config
+}
+
 // cross enumerates names × variants at one instruction budget.
 func cross(names []string, vs []variant, instrs uint64) []runSpec {
 	specs := make([]runSpec, 0, len(names)*len(vs))
@@ -145,47 +155,58 @@ func cross(names []string, vs []variant, instrs uint64) []runSpec {
 	return specs
 }
 
-// prefetch submits a figure's whole run set to the pool and waits for it,
-// so the figure's assembly loop afterwards only reads completed results.
-// Progress lines buffered during the batch are flushed in sorted key order.
-// The returned error is the first failing spec in enumeration order,
-// independent of completion order.
-func (s *Suite) prefetch(specs []runSpec) error {
+// runAll submits a figure's whole run set to the pool as one batch, waits
+// for it and returns the results in spec order, so the figure's assembly
+// reads each result once. Specs with equal point IDs run
+// once, under the label of the first of them in enumeration order.
+// Progress lines buffered during the batch are flushed in sorted label
+// order. The returned error is the first failing spec's in enumeration
+// order, independent of completion order.
+func (s *Suite) runAll(specs []runSpec) ([]*sim.Result, error) {
+	pts := make([]point, len(specs))
+	for i, sp := range specs {
+		p, err := s.resolve(sp)
+		if err != nil {
+			return nil, err
+		}
+		pts[i] = p
+	}
 	s.beginBatch()
 	defer s.endBatch()
-	errs := make([]error, len(specs))
+	owner := make(map[uint64]int, len(pts))
+	res := make([]*sim.Result, len(pts))
+	errs := make([]error, len(pts))
 	var wg sync.WaitGroup
-	for i := range specs {
+	for i, p := range pts {
+		if _, dup := owner[p.id]; dup {
+			continue
+		}
+		owner[p.id] = i
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			sp := specs[i]
-			_, errs[i] = s.run(sp.wl, sp.v, sp.instrs)
-		}(i)
+			res[i], errs[i] = s.runPoint(p)
+		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	for i, p := range pts {
+		o := owner[p.id]
+		if errs[o] != nil {
+			return nil, errs[o]
 		}
+		res[i] = res[o]
 	}
-	return nil
+	return res, nil
 }
 
-// progress routes one completed run's line: buffered under an open batch,
-// emitted immediately otherwise (direct run calls outside any figure).
-func (s *Suite) progress(key, line string) {
+// progress buffers one completed point's line until its batch closes.
+func (s *Suite) progress(label, line string) {
 	if s.opts.Progress == nil {
 		return
 	}
 	s.progressMu.Lock()
-	if s.batchDepth > 0 {
-		s.pending[key] = line
-		s.progressMu.Unlock()
-		return
-	}
+	s.pending[label] = line
 	s.progressMu.Unlock()
-	s.opts.Progress(line)
 }
 
 func (s *Suite) beginBatch() {
@@ -194,7 +215,7 @@ func (s *Suite) beginBatch() {
 	s.progressMu.Unlock()
 }
 
-// endBatch flushes the buffered Progress lines sorted by run key, making
+// endBatch flushes the buffered Progress lines sorted by label, making
 // emission order a pure function of the batch's run set — never of worker
 // count or completion order.
 func (s *Suite) endBatch() {

@@ -13,13 +13,10 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/runahead"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/workloads"
 )
 
 // Job states. A job is terminal in StateDone, StateFailed or StateCancelled.
@@ -92,10 +89,10 @@ func (j *job) interrupt() error {
 // notify is the suite's Options.Notify hook: one line per completed point,
 // in completion order (a heartbeat, not reproducible output — the byte-
 // stable artifact is the result body).
-func (j *job) notify(key string) {
+func (j *job) notify(label string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.events = append(j.events, "point "+key)
+	j.events = append(j.events, "point "+label)
 	j.broadcast()
 }
 
@@ -218,7 +215,7 @@ func (s *Server) execute(j *job, suite *experiments.Suite) (body, traceBody []by
 			return nil, nil, err
 		}
 		if j.req.Trace {
-			traceBody, err = s.tracedRun(j.req)
+			traceBody, err = tracedRun(suite, j.req)
 			if err != nil {
 				return nil, nil, fmt.Errorf("server: trace run: %w", err)
 			}
@@ -243,34 +240,13 @@ func (s *Server) execute(j *job, suite *experiments.Suite) (body, traceBody []by
 }
 
 // tracedRun re-simulates the request's point once with the event tracer
-// attached, into an in-memory Chrome trace. Traced runs never touch the
+// attached, into an in-memory Chrome trace, through the same suite and so
+// the same configuration as the cached run. Traced runs never touch the
 // cache: tracing is observably identical but the artifact is per-request.
-func (s *Server) tracedRun(req Request) ([]byte, error) {
-	w, err := workloads.ByName(req.Workload, s.scale)
-	if err != nil {
-		return nil, err
-	}
-	pred, err := sim.ParsePredictor(req.Predictor)
-	if err != nil {
-		return nil, err
-	}
-	cfg := sim.Config{
-		Core:      core.DefaultConfig(),
-		Predictor: pred,
-		Warmup:    *req.Warmup,
-		MaxInstrs: *req.Instrs,
-	}
-	if req.BR != "" {
-		br, err := runahead.ConfigByName(req.BR)
-		if err != nil {
-			return nil, err
-		}
-		cfg.BR = &br
-	}
+func tracedRun(suite *experiments.Suite, req Request) ([]byte, error) {
 	var buf bytes.Buffer
 	tr := trace.New(trace.NewChrome(&buf))
-	cfg.Trace = tr
-	_, runErr := sim.Run(w, cfg)
+	_, runErr := suite.TraceNamed(req.Workload, req.Predictor, req.BR, tr)
 	if cerr := tr.Close(); cerr != nil && runErr == nil {
 		runErr = cerr
 	}

@@ -401,7 +401,7 @@ func TestServeEventsStream(t *testing.T) {
 	if len(lines) < 2 || lines[len(lines)-1] != "done" {
 		t.Fatalf("events stream = %q, want point lines ending in done", lines)
 	}
-	if !strings.HasPrefix(lines[0], "point mcf_17/mini/") {
+	if !strings.HasPrefix(lines[0], "point mcf_17/tage64+mini/") {
 		t.Errorf("first event = %q, want a point line", lines[0])
 	}
 }
