@@ -51,8 +51,10 @@ type line struct {
 
 // Cache is one level of the hierarchy.
 type Cache struct {
-	cfg      Config
-	sets     [][]line
+	cfg Config
+	// lines holds every set's ways back to back: set i is
+	// lines[i*Ways : (i+1)*Ways] (see set).
+	lines    []line
 	nSets    uint64
 	lineOff  uint
 	next     MemLevel
@@ -140,16 +142,13 @@ func New(cfg Config, next MemLevel) *Cache {
 	}
 	c := &Cache{
 		cfg:     cfg,
-		sets:    make([][]line, nSets),
+		lines:   make([]line, nSets*cfg.Ways),
 		nSets:   uint64(nSets),
 		lineOff: lineOff,
 		next:    next,
 		C:       stats.NewCounters(),
 	}
 	c.Ctr = newCacheCounters(c.C)
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
-	}
 	if cfg.Ports > 0 {
 		c.ports = make([]uint64, cfg.Ports)
 	}
@@ -186,6 +185,12 @@ func (c *Cache) LineBytes() int { return c.cfg.LineBytes }
 func (c *Cache) addrSet(addr uint64) (setIdx uint64, tag uint64) {
 	lineAddr := addr >> c.lineOff
 	return lineAddr % c.nSets, lineAddr
+}
+
+// set returns the ways of set i.
+func (c *Cache) set(i uint64) []line {
+	w := uint64(c.cfg.Ways)
+	return c.lines[i*w : (i+1)*w : (i+1)*w]
 }
 
 // reservePort returns the cycle at which a port is available, reserving it.
@@ -269,7 +274,7 @@ func (c *Cache) access(now uint64, addr uint64, write bool, usePort bool) uint64
 		start = c.reservePort(now)
 	}
 	setIdx, tag := c.addrSet(addr)
-	set := c.sets[setIdx]
+	set := c.set(setIdx)
 	c.lruClock++
 
 	for i := range set {
@@ -335,9 +340,9 @@ func (c *Cache) access(now uint64, addr uint64, write bool, usePort bool) uint64
 // tests and by the prefetcher to avoid redundant fills.
 func (c *Cache) Probe(addr uint64) bool {
 	setIdx, tag := c.addrSet(addr)
-	for i := range c.sets[setIdx] {
-		l := &c.sets[setIdx][i]
-		if l.valid && l.tag == tag {
+	set := c.set(setIdx)
+	for i := range set {
+		if l := &set[i]; l.valid && l.tag == tag {
 			return true
 		}
 	}
@@ -347,7 +352,7 @@ func (c *Cache) Probe(addr uint64) bool {
 // Install inserts a line without demand-access semantics (prefetch fill).
 func (c *Cache) Install(now uint64, addr uint64, ready uint64) {
 	setIdx, tag := c.addrSet(addr)
-	set := c.sets[setIdx]
+	set := c.set(setIdx)
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			return
@@ -490,9 +495,7 @@ func (p *StreamPrefetcher) Train(now uint64, addr uint64) {
 // Reservations are absolute cycles, which stay valid because a fork
 // continues from w's clock. w is only read.
 func (c *Cache) CopyFrom(w *Cache) {
-	for i := range c.sets {
-		copy(c.sets[i], w.sets[i])
-	}
+	copy(c.lines, w.lines)
 	c.lruClock = w.lruClock
 	copy(c.ports, w.ports)
 	c.outstanding = append(c.outstanding[:0], w.outstanding...)

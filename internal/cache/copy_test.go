@@ -40,7 +40,7 @@ func TestCacheRoundTrip(t *testing.T) {
 
 	fresh := New(smallCacheConfig(), mem)
 	fresh.CopyFrom(c)
-	if !reflect.DeepEqual(c.sets, fresh.sets) {
+	if !reflect.DeepEqual(c.lines, fresh.lines) {
 		t.Fatal("copied line arrays differ")
 	}
 	if !reflect.DeepEqual(c.ports, fresh.ports) || !reflect.DeepEqual(c.outstanding, fresh.outstanding) {
@@ -92,7 +92,7 @@ func TestTLBRoundTrip(t *testing.T) {
 
 	fresh := NewTLB(DefaultTLBConfig(), mem)
 	fresh.CopyFrom(tl)
-	if !reflect.DeepEqual(tl.sets, fresh.sets) || tl.clock != fresh.clock {
+	if !reflect.DeepEqual(tl.entries, fresh.entries) || tl.clock != fresh.clock {
 		t.Fatal("copied TLB state differs")
 	}
 	simtest.RequireDeepEqual(t, "TLB counters", tl.C.Snapshot(), fresh.C.Snapshot())

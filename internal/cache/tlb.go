@@ -11,7 +11,9 @@ import (
 // core", §4.2); misses pay a fixed page-walk latency served through the
 // cache hierarchy.
 type TLB struct {
-	sets     [][]tlbEntry
+	// entries holds every set's ways back to back: set i is
+	// entries[i*ways : (i+1)*ways] (see set).
+	entries  []tlbEntry
 	nSets    uint64
 	ways     int
 	pageBits uint
@@ -67,7 +69,7 @@ func NewTLB(cfg TLBConfig, next MemLevel) *TLB {
 	}
 	nSets := cfg.Entries / cfg.Ways
 	t := &TLB{
-		sets:     make([][]tlbEntry, nSets),
+		entries:  make([]tlbEntry, cfg.Entries),
 		nSets:    uint64(nSets),
 		ways:     cfg.Ways,
 		pageBits: cfg.PageBits,
@@ -78,9 +80,6 @@ func NewTLB(cfg TLBConfig, next MemLevel) *TLB {
 	t.hits = t.C.Handle("hits")
 	t.misses = t.C.Handle("misses")
 	t.pendingHits = t.C.Handle("pending_hits")
-	for i := range t.sets {
-		t.sets[i] = make([]tlbEntry, cfg.Ways)
-	}
 	return t
 }
 
@@ -88,7 +87,7 @@ func NewTLB(cfg TLBConfig, next MemLevel) *TLB {
 // returns the cycle the physical address is available (now for a hit).
 func (t *TLB) Translate(now uint64, addr uint64) uint64 {
 	vpn := addr >> t.pageBits
-	set := t.sets[vpn%t.nSets]
+	set := t.set(vpn % t.nSets)
 	t.clock++
 	for i := range set {
 		e := &set[i]
@@ -122,6 +121,12 @@ func (t *TLB) Translate(now uint64, addr uint64) uint64 {
 	return done
 }
 
+// set returns the ways of set i.
+func (t *TLB) set(i uint64) []tlbEntry {
+	w := uint64(t.ways)
+	return t.entries[i*w : (i+1)*w : (i+1)*w]
+}
+
 // pteAddr maps a virtual page number to a synthetic page-table entry
 // address in a reserved region, so walks exercise the real hierarchy.
 func pteAddr(vpn uint64) uint64 {
@@ -131,9 +136,7 @@ func pteAddr(vpn uint64) uint64 {
 // CopyFrom copies w's entries, clock and counters into t, which must have
 // w's geometry. w is only read.
 func (t *TLB) CopyFrom(w *TLB) {
-	for i := range t.sets {
-		copy(t.sets[i], w.sets[i])
-	}
+	copy(t.entries, w.entries)
 	t.clock = w.clock
 	t.C.CopyFrom(w.C)
 }
