@@ -45,7 +45,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	norm, err := NormalizeRequest(req, s.defaults)
+	norm, err := NormalizeRequest(req, s.Defaults())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

@@ -60,11 +60,13 @@ func (c Config) Validate() error { return nil }
 
 // Server is the HTTP service. Create one with New and serve its Handler.
 type Server struct {
-	cfg      Config
-	scale    workloads.Scale
-	defaults Defaults
-	mux      *http.ServeMux
-	sem      chan struct{} // one slot per concurrently-executing job
+	cfg Config
+	// base is the option set requests start from: QuickOptions under
+	// Config.Quick, else DefaultOptions. Its budgets are the request
+	// defaults and its Scale every job's workload scale.
+	base experiments.Options
+	mux  *http.ServeMux
+	sem  chan struct{} // one slot per concurrently-executing job
 
 	mu       sync.Mutex
 	jobs     map[string]*job
@@ -87,19 +89,12 @@ func New(cfg Config) (*Server, error) {
 		maxJobs = 1
 	}
 	base := experiments.DefaultOptions()
-	scale := workloads.DefaultScale()
 	if cfg.Quick {
 		base = experiments.QuickOptions()
-		scale = workloads.SmallScale()
 	}
 	s := &Server{
-		cfg:   cfg,
-		scale: scale,
-		defaults: Defaults{
-			Warmup:      base.Warmup,
-			Instrs:      base.Instrs,
-			SweepInstrs: base.SweepInstrs,
-		},
+		cfg:  cfg,
+		base: base,
 		sem:  make(chan struct{}, maxJobs),
 		jobs: make(map[string]*job),
 	}
@@ -119,7 +114,9 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Defaults returns the budget defaults requests are normalized against.
-func (s *Server) Defaults() Defaults { return s.defaults }
+func (s *Server) Defaults() Defaults {
+	return Defaults{Warmup: s.base.Warmup, Instrs: s.base.Instrs, SweepInstrs: s.base.SweepInstrs}
+}
 
 // Drain stops the service gracefully: new submissions are refused with
 // 503, queued jobs are cancelled, and running jobs are waited for until
@@ -157,7 +154,7 @@ func (s *Server) Drain(ctx context.Context) error {
 // onto one job's experiments.Options.
 func (s *Server) suiteOptions(j *job) experiments.Options {
 	o := experiments.Options{
-		Scale:     s.scale,
+		Scale:     s.base.Scale,
 		Warmup:    *j.req.Warmup,
 		Instrs:    *j.req.Instrs,
 		Workloads: j.req.Workloads,
