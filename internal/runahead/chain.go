@@ -2,6 +2,7 @@ package runahead
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/isa"
@@ -98,6 +99,11 @@ type Chain struct {
 	NumLocals int
 	// Loads counts memory reads in the chain.
 	Loads int
+
+	// serial is the ChainCache installation that last installed or
+	// refreshed this chain; the DCE compares it, not the pointer, to tell
+	// whether an instance has already launched the chain.
+	serial uint64
 }
 
 // HasAGTrigger reports whether the chain terminates at an affector/guard
@@ -116,17 +122,38 @@ func (c *Chain) String() string {
 	return b.String()
 }
 
-// Equal reports structural equality (used to dedupe chain-cache installs).
+// Equal reports whether c and o compute the same branch from the same
+// trigger with the same micro-ops (a chain-cache install that refreshes an
+// Equal chain does not count as a new chain).
 func (c *Chain) Equal(o *Chain) bool {
-	if c.BranchPC != o.BranchPC || c.Tag != o.Tag || len(c.Uops) != len(o.Uops) {
-		return false
+	return c.BranchPC == o.BranchPC && c.Tag == o.Tag && slices.Equal(c.Uops, o.Uops)
+}
+
+// sameBody reports whether c and o agree in every field the DCE reads: the
+// micro-ops Equal compares, and the live-ins, live-outs, local count and
+// load count. A refresh with the same body keeps the cached object.
+func (c *Chain) sameBody(o *Chain) bool {
+	return c.Equal(o) && slices.Equal(c.LiveIns, o.LiveIns) &&
+		slices.Equal(c.LiveOuts, o.LiveOuts) && c.NumLocals == o.NumLocals && c.Loads == o.Loads
+}
+
+// clone returns a copy of c that shares no storage with it.
+func (c *Chain) clone() *Chain {
+	// The chain cache clones only a new or changed chain, whose copy must
+	// outlive the extractor's scratch it came from; a refresh of an
+	// unchanged chain keeps the cached object and allocates nothing.
+	return &Chain{ //brlint:allow hot-path-alloc
+		BranchPC: c.BranchPC, Tag: c.Tag, NumLocals: c.NumLocals, Loads: c.Loads,
+		Uops:     cloneSlice(c.Uops),
+		LiveIns:  cloneSlice(c.LiveIns),
+		LiveOuts: cloneSlice(c.LiveOuts),
 	}
-	for i := range c.Uops {
-		if c.Uops[i] != o.Uops[i] {
-			return false
-		}
-	}
-	return true
+}
+
+// cloneSlice returns a copy of s, or nil when s is empty.
+func cloneSlice[T any](s []T) []T {
+	// Only clone calls this: part of the copy of a new or changed chain.
+	return append([]T(nil), s...) //brlint:allow hot-path-alloc
 }
 
 // cebEntry is one retired micro-op recorded in the Chain Extraction Buffer.
@@ -209,8 +236,8 @@ type regVid struct {
 
 // extractor performs the backward dataflow walk of Figure 9. One extractor
 // is reused across every extraction a System performs: the scratch state
-// below is truncated between walks, never freed, so a steady-state
-// extraction allocates nothing beyond the Chain it produces
+// below, the Chain it produces included, is truncated between walks, never
+// freed, so a steady-state extraction allocates nothing
 // (TestExtractorSteadyStateAllocs pins this).
 type extractor struct {
 	ceb   *CEB
@@ -236,6 +263,10 @@ type extractor struct {
 	// registers, and the canonical-vid -> local-register numbering.
 	regsBuf []isa.Reg
 	local   map[int]int
+
+	// chain is the walk's product, rebuilt in place by every build; the
+	// chain cache copies it when it installs a new or changed chain.
+	chain Chain
 }
 
 // newExtractor returns an empty extractor; the maps persist across resets.
@@ -359,13 +390,16 @@ const maxInt = int(^uint(0) >> 1)
 // instance of the hard branch (which must be the newest CEB entry) and
 // returns its dependence chain. agSet lists the branch's known
 // affector/guard PCs, which terminate the walk (paper §4.3). This
-// convenience wrapper allocates a fresh extractor per call; the System
-// reuses one across all its extractions instead.
+// convenience wrapper allocates a fresh extractor per call, so the chain is
+// the caller's; the System reuses one extractor across all its extractions
+// instead, and its chains last only until the next walk.
 func ExtractChain(ceb *CEB, cfg *Config, agSet []uint64) (*Chain, error) {
 	return newExtractor().extract(ceb, cfg, agSet)
 }
 
 // extract runs one backward walk, reusing the extractor's scratch buffers.
+// The returned chain is the extractor's own and is overwritten by the next
+// walk.
 func (x *extractor) extract(ceb *CEB, cfg *Config, agSet []uint64) (*Chain, error) {
 	if ceb.Len() == 0 {
 		return nil, errEmptyCEB
@@ -551,7 +585,7 @@ func (x *extractor) assign(vid int) int {
 }
 
 // build reverses the emitted slice into program order, assigns local
-// registers and produces the Chain.
+// registers and produces the Chain in x.chain.
 func (x *extractor) build(branchPC uint64, tag Tag) (*Chain, error) {
 	// Unify any duplicate live-in requests for the same register: they all
 	// denote "the value of r at chain entry".
@@ -575,16 +609,16 @@ func (x *extractor) build(branchPC uint64, tag Tag) (*Chain, error) {
 
 	clear(x.local) // canonical vid -> local register
 
-	// The chain is the product of the walk: it outlives the extraction (the
-	// chain cache installs it), so unlike the scratch above it cannot be
-	// pooled. Sizes are exact; these are the only steady-state allocations.
-	ch := &Chain{BranchPC: branchPC, Tag: tag, Loads: x.loads} //brlint:allow hot-path-alloc
-	ch.Uops = make([]ChainUop, len(x.emitted))                 //brlint:allow hot-path-alloc
+	ch := &x.chain
+	ch.BranchPC, ch.Tag, ch.Loads = branchPC, tag, x.loads
+	ch.Uops = ch.Uops[:0]
+	ch.LiveIns = ch.LiveIns[:0]
+	ch.LiveOuts = ch.LiveOuts[:0]
 	// Reverse into program order.
 	for i := len(x.emitted) - 1; i >= 0; i-- {
 		e := x.emitted[i]
 		u := e.u
-		ch.Uops[len(x.emitted)-1-i] = ChainUop{
+		ch.Uops = push(ch.Uops, ChainUop{
 			Op:      u.Op,
 			Dst:     x.assign(e.dstVid),
 			Src1:    x.assign(e.s1Vid),
@@ -596,16 +630,13 @@ func (x *extractor) build(branchPC uint64, tag Tag) (*Chain, error) {
 			Signed:  u.Signed,
 			Cond:    u.Cond,
 			OrigPC:  u.PC,
-		}
+		})
 	}
-	if len(regs) > 0 {
-		ch.LiveIns = make([]LiveBinding, len(regs)) //brlint:allow hot-path-alloc
-	}
-	for i, r := range regs {
+	for _, r := range regs {
 		// The first request for r denotes "the value of r at chain entry".
 		for j := range x.search {
 			if x.search[j].reg == r {
-				ch.LiveIns[i] = LiveBinding{Arch: r, Local: x.assign(x.search[j].vid)}
+				ch.LiveIns = push(ch.LiveIns, LiveBinding{Arch: r, Local: x.assign(x.search[j].vid)})
 				break
 			}
 		}
@@ -617,11 +648,8 @@ func (x *extractor) build(branchPC uint64, tag Tag) (*Chain, error) {
 			x.liveOut[j], x.liveOut[j-1] = x.liveOut[j-1], x.liveOut[j]
 		}
 	}
-	if len(x.liveOut) > 0 {
-		ch.LiveOuts = make([]LiveBinding, len(x.liveOut)) //brlint:allow hot-path-alloc
-	}
-	for i, lo := range x.liveOut {
-		ch.LiveOuts[i] = LiveBinding{Arch: lo.reg, Local: x.assign(lo.vid)}
+	for _, lo := range x.liveOut {
+		ch.LiveOuts = push(ch.LiveOuts, LiveBinding{Arch: lo.reg, Local: x.assign(lo.vid)})
 	}
 	ch.NumLocals = len(x.local)
 

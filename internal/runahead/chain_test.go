@@ -209,8 +209,8 @@ func TestExtractSkipsUnrelatedUops(t *testing.T) {
 
 // TestExtractorSteadyStateAllocs pins the extractor's free-list discipline:
 // after the first walk warms the scratch high-water marks, a reused
-// extractor allocates only the Chain product itself (the struct plus its
-// three exact-size slices).
+// extractor builds its chain in place and allocates nothing, and installing
+// the unchanged chain it rebuilds allocates nothing either.
 func TestExtractorSteadyStateAllocs(t *testing.T) {
 	loop := []isa.Uop{
 		{PC: 7, Op: isa.OpBr, Cond: isa.CondNE, Imm: 0},
@@ -232,9 +232,29 @@ func TestExtractorSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// &Chain + Uops + LiveIns + LiveOuts.
-	if allocs > 4 {
-		t.Fatalf("steady-state extraction allocates %.0f times per walk, want <= 4", allocs)
+	if allocs != 0 {
+		t.Fatalf("steady-state extraction allocates %.0f times per walk, want 0", allocs)
+	}
+
+	cc := NewChainCache(cfg.ChainCacheSize)
+	ch, err := x.extract(ceb, &cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cc.Install(ch) {
+		t.Fatal("first install of the chain did not report it new")
+	}
+	allocs = testing.AllocsPerRun(200, func() {
+		ch, err := x.extract(ceb, &cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cc.Install(ch) {
+			t.Fatal("refresh of an unchanged chain reported it new")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a walk plus the install of its unchanged chain allocates %.0f times, want 0", allocs)
 	}
 }
 
@@ -271,7 +291,7 @@ func TestExtractorReuseMatchesFresh(t *testing.T) {
 			if err != nil {
 				t.Fatalf("round %d seq %d: fresh: %v", round, i, err)
 			}
-			if !reused.Equal(fresh) || reused.NumLocals != fresh.NumLocals {
+			if !reused.sameBody(fresh) {
 				t.Fatalf("round %d seq %d: reused extractor diverged:\nreused: %sfresh: %s",
 					round, i, reused, fresh)
 			}

@@ -102,19 +102,17 @@ type instState struct {
 	predOut       bool
 	// initiated tracks successor chains already launched from this
 	// instance, preventing double initiation between the early and
-	// completion trigger points. A linear list, not a map: an instance has
-	// a handful of successor chains at most.
-	initiated []*Chain
+	// completion trigger points. It records each chain's installation
+	// serial: no two installations share one, and a chain refreshed in the
+	// chain cache since counts as a new chain. A linear list, not a map: an
+	// instance has a handful of successor chains at most.
+	initiated []uint64
 }
 
-// hasInitiated reports whether ch was already launched from this instance.
+// hasInitiated reports whether ch, as last installed, was already launched
+// from this instance.
 func (in *Instance) hasInitiated(ch *Chain) bool {
-	for _, c := range in.initiated {
-		if c == ch {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(in.initiated, ch.serial)
 }
 
 func (in *Instance) done() bool { return in.completed || in.killed }
@@ -774,11 +772,11 @@ func (e *DCE) tryInitiateChild(now uint64, parent *Instance, ch *Chain) {
 	}
 	if q, ok := e.admit(now, ch, nil); ok {
 		e.launch(now, ch, q, parent, nil)
-		parent.initiated = push(parent.initiated, ch)
+		parent.initiated = push(parent.initiated, ch.serial)
 	} else if len(e.deferred) < 64 {
 		parent.refs++
 		e.deferred = push(e.deferred, deferredInit{parent: parent, chain: ch, q: q})
-		parent.initiated = push(parent.initiated, ch) // the deferral owns the retry
+		parent.initiated = push(parent.initiated, ch.serial) // the deferral owns the retry
 	}
 }
 

@@ -1,6 +1,7 @@
 package runahead
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cache"
@@ -274,5 +275,66 @@ func TestInOrderChainLosesMLP(t *testing.T) {
 	t.Logf("first outcome: out-of-order at %d, in-order at %d", ooo, ino)
 	if ino < ooo+30 {
 		t.Fatalf("in-order (%d) should be ~one miss latency behind out-of-order (%d)", ino, ooo)
+	}
+}
+
+// TestRefreshedChainLaunchesAgain pins what a chain refresh decides in the
+// engine. Under Independent-early initiation, instance P launches chain C
+// from its early trigger; then an identical C is re-extracted and
+// installed; then P's completion trigger runs. The refresh gives C a new
+// installation serial, so P does not find C among the chains it has
+// initiated and launches it a second time: the queue holds index 2's
+// outcome twice. Without the refresh, every slot holds the next index.
+// Keeping C's identity across the refresh would remove the duplicate, but
+// it changes the quick-suite tables, so it is left to a simulator epoch.
+func TestRefreshedChainLaunchesAgain(t *testing.T) {
+	const hot = 2 // only index 2 clears the chain's >= 500 threshold
+	run := func(refresh bool) []bool {
+		cfg := Mini()
+		cfg.InitMode = IndependentEarly
+		cfg.Window = 2 // P and its early successor fill it
+		dce, cc, pqs, mem, _ := dceFixture(cfg)
+		const base = uint64(0x1000)
+		mem.Write(base+hot*4, 4, 900)
+		cc.Install(incChain())
+		c := cc.All()[0]
+		var regs emu.RegFile
+		regs.Set(isa.R1, base)
+		dce.Sync(0, 7, true, &regs) // launches P at index 1, and P launches C at index 2
+		p := dce.all[0]
+		if !p.hasInitiated(c) {
+			t.Fatal("P's early trigger did not launch its successor")
+		}
+		if refresh {
+			cc.Install(incChain())
+			if cc.All()[0] != c {
+				t.Fatal("an identical refresh replaced the cached chain")
+			}
+			if p.hasInitiated(c) {
+				t.Fatal("a refreshed chain still counts as initiated from P")
+			}
+		}
+		for now := uint64(1); now < 2000; now++ {
+			dce.Tick(now, 4, 92)
+		}
+		q := pqs.For(7)
+		out := make([]bool, 6)
+		for i := range out {
+			s := q.slot(uint64(i))
+			if !s.filled {
+				t.Fatalf("refresh=%v: slot %d never filled", refresh, i)
+			}
+			out[i] = s.value
+		}
+		return out
+	}
+	want := map[bool][]bool{
+		false: {false, true, false, false, false, false}, // indexes 1, 2, 3, ...
+		true:  {false, true, true, false, false, false},  // indexes 1, 2, 2, ...
+	}
+	for _, refresh := range []bool{false, true} {
+		if got := run(refresh); !slices.Equal(got, want[refresh]) {
+			t.Errorf("refresh=%v: slots %v, want %v", refresh, got, want[refresh])
+		}
 	}
 }

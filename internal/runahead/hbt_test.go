@@ -1,6 +1,10 @@
 package runahead
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/isa"
+)
 
 func TestHBTDetectsHardBranch(t *testing.T) {
 	h := NewHBT(64)
@@ -184,6 +188,40 @@ func TestChainCacheDropsStaleTriggerVariants(t *testing.T) {
 		if ch.BranchPC == 5 && ch.Tag.PC == 5 {
 			t.Fatal("stale self-tagged chain survived an AG-trigger install")
 		}
+	}
+}
+
+// TestChainCacheRefreshReplacesChangedBody: the cache copies what it
+// installs. A refresh with an identical body keeps the cached object; one
+// whose micro-ops equal the cached chain's but whose live-ins differ
+// installs a copy with the new live-ins and leaves the old object, which
+// running instances may still read, as it was. Neither refresh counts as a
+// new chain.
+func TestChainCacheRefreshReplacesChangedBody(t *testing.T) {
+	cc := NewChainCache(4)
+	ch := incChain()
+	if !cc.Install(ch) {
+		t.Fatal("first install not reported new")
+	}
+	cached := cc.All()[0]
+	if cached == ch || !cached.sameBody(ch) {
+		t.Fatal("the cache must hold a copy of the installed chain")
+	}
+	if cc.Install(incChain()) || cc.All()[0] != cached {
+		t.Fatal("an identical refresh must keep the cached chain and not count as new")
+	}
+
+	changed := incChain()
+	changed.LiveIns[0].Arch = isa.R4
+	if cc.Install(changed) {
+		t.Fatal("a refresh with equal micro-ops counted as a new chain")
+	}
+	got := cc.All()
+	if len(got) != 1 || got[0] == cached || got[0] == changed || !got[0].sameBody(changed) {
+		t.Fatalf("changed live-ins did not replace the cached body: %v", got)
+	}
+	if !cached.sameBody(incChain()) {
+		t.Fatal("the replaced chain was modified in place")
 	}
 }
 
