@@ -54,12 +54,16 @@ race:
 	$(GO) test -race -timeout 20m ./internal/sim ./internal/runahead ./internal/experiments/... ./internal/server
 
 ## bench-json: record every BENCHMARK.json workload over three seeds
-## through bench/run.sh (about 7 min on 2 vCPUs) as the committed
-## BENCH_OUT snapshot, with each metric's median and quartiles. With
-## BENCH_PREV set to an earlier snapshot, -compare then judges each
-## end-to-end metric against its bound in BENCHMARK.json.
-BENCH_OUT ?= BENCH_8.json
+## through bench/run.sh (about 7 min on 2 vCPUs) as the snapshot
+## BENCH_OUT, with each metric's median and quartiles. BENCH_OUT has no
+## default, so a bare `make bench-json` cannot overwrite a committed
+## snapshot. With BENCH_PREV set to an earlier snapshot, -compare then
+## judges each end-to-end metric against its bound in BENCHMARK.json.
 bench-json:
+	@if [ -z "$(BENCH_OUT)" ]; then \
+		echo "usage: make bench-json BENCH_OUT=BENCH_<n>.json [BENCH_PREV=<earlier snapshot>]" >&2; \
+		exit 2; \
+	fi
 	bash bench/run.sh --runs 3 --out $(BENCH_OUT)
 	@if [ -n "$(BENCH_PREV)" ]; then bash bench/run.sh -compare $(BENCH_PREV) $(BENCH_OUT); fi
 
