@@ -15,17 +15,17 @@ func TestParseArgsRejectsUnreadFlags(t *testing.T) {
 		want []string
 	}{
 		{"-quick -figure 2 -predictor ldbp -br big", []string{"-br is not read in figure mode", "-predictor is not read in figure mode"}},
-		{"-trace t.json -workload mcf_17", []string{"-workload is not read in -trace mode"}},
-		{"-trace-config bogus", []string{"-trace-config is not read in figure mode"}},
-		{"-trace t.json -quick -json", []string{"-json is not read in -trace mode", "-quick is not read in -trace mode"}},
+		{"-trace t.json", []string{"-trace is not read in figure mode, only in -workload mode"}},
 		{"-workload mcf_17 -figure 10", []string{"-figure is not read in -workload mode"}},
 		{"-workload mcf_17 -sweepinstrs 1000 -j 2", []string{"-j is not read", "-sweepinstrs is not read"}},
-		{"-trace-workload mcf_17", []string{"-trace-workload is not read in figure mode, only in -trace mode"}},
+		{"-workload mcf_17 -trace-filter pc=0x40", []string{"-trace-filter is not read without -trace"}},
 		{"-figure 10 extra", []string{`unexpected argument "extra"`}},
 		// Retired flags fail as undefined instead of running under other
 		// semantics.
 		{"-quick -cache-dir c -resume", []string{"flag provided but not defined: -resume"}},
 		{"-quick -cache-dir c -no-cache", []string{"flag provided but not defined: -no-cache"}},
+		{"-workload mcf_17 -trace t.json -trace-workload leela_17", []string{"flag provided but not defined: -trace-workload"}},
+		{"-workload mcf_17 -trace t.json -trace-config big", []string{"flag provided but not defined: -trace-config"}},
 	} {
 		_, err := parseArgs(strings.Fields(c.args), io.Discard)
 		if err == nil {
@@ -65,6 +65,7 @@ func TestParseArgsAcceptsDocumentedUsage(t *testing.T) {
 		"-quick -share-warmup -j 1",
 		"-quick -share-warmup -j 4",
 		"-quick -workload mcf_17 -br mini",
+		"-quick -workload mcf_17 -br mini -trace out.json",
 		"-workload trace:leela_17.btr -warmup 20000 -instrs 60000",
 	)
 	for _, u := range usages {
@@ -74,10 +75,7 @@ func TestParseArgsAcceptsDocumentedUsage(t *testing.T) {
 			continue
 		}
 		want := modeFigures
-		switch {
-		case strings.Contains(u, "-trace "):
-			want = modeTrace
-		case strings.Contains(u, "-workload "):
+		if strings.Contains(u, "-workload ") {
 			want = modeWorkload
 		}
 		if c.mode != want {

@@ -23,17 +23,18 @@
 //	brtrace record -workload leela_17 -o leela.btr
 //	brexp -workload trace:leela.btr
 //
-// Trace mode runs a single simulation with the structured event tracer
-// attached and writes a Chrome trace_event JSON file (open in Perfetto or
-// chrome://tracing); the trace's per-branch aggregation is cross-checked
-// against the run's Figure 12 counters:
+// With -trace, the point is simulated once more with the structured event
+// tracer attached, and the run is written as a Chrome trace_event JSON file
+// (open in Perfetto or chrome://tracing); with -br set, the trace's
+// per-branch aggregation is cross-checked against that run's Figure 12
+// counters:
 //
-//	brexp -trace out.json                          # leela_17 under Mini
-//	brexp -trace out.json -trace-workload mcf_17 -trace-config big
-//	brexp -trace out.json -trace-filter pc=0x4a0   # one branch's events
+//	brexp -workload leela_17 -br mini -trace out.json
+//	brexp -quick -workload mcf_17 -br big -trace out.json
+//	brexp -workload mcf_17 -br mini -trace out.json -trace-filter pc=0x6 # one branch's events
 //
-// A flag the selected mode does not read (-br without -workload, -workload
-// with -trace, -trace-config without -trace) is a usage error: brexp names
+// A flag the selected mode does not read (-br without -workload, -j with
+// -workload, -trace-filter without -trace) is a usage error: brexp names
 // the flag and the mode and exits 2 before it simulates anything.
 package main
 
@@ -56,49 +57,33 @@ import (
 	"repro/internal/stats"
 )
 
-// mode is what one brexp invocation does: print figures (the default), run
-// a single point (-workload) or trace a single run (-trace).
+// mode is what one brexp invocation does: print figures (the default) or
+// run a single point (-workload).
 type mode uint8
 
 const (
-	modeFigures mode = 1 << iota
+	modeFigures mode = iota
 	modeWorkload
-	modeTrace
 )
 
 func (m mode) String() string {
-	var names []string
-	for _, n := range []struct {
-		m    mode
-		name string
-	}{{modeFigures, "figure mode"}, {modeWorkload, "-workload mode"}, {modeTrace, "-trace mode"}} {
-		if m&n.m != 0 {
-			names = append(names, n.name)
-		}
+	if m == modeWorkload {
+		return "-workload mode"
 	}
-	return strings.Join(names, " and ")
+	return "figure mode"
 }
 
-// flagModes records, for each flag that only some modes read, the modes
-// that read it. The profiling flags apply in every mode and are absent.
+// flagModes records, for each flag that only one mode reads, that mode.
+// The other flags apply in every mode and are absent.
 var flagModes = map[string]mode{
-	"figure":         modeFigures,
-	"sweepinstrs":    modeFigures,
-	"j":              modeFigures,
-	"quick":          modeFigures | modeWorkload,
-	"v":              modeFigures | modeWorkload,
-	"json":           modeFigures | modeWorkload,
-	"cache-dir":      modeFigures | modeWorkload,
-	"share-warmup":   modeFigures | modeWorkload,
-	"instrs":         modeFigures | modeWorkload | modeTrace,
-	"warmup":         modeFigures | modeWorkload | modeTrace,
-	"workload":       modeWorkload,
-	"predictor":      modeWorkload,
-	"br":             modeWorkload,
-	"trace":          modeTrace,
-	"trace-filter":   modeTrace,
-	"trace-workload": modeTrace,
-	"trace-config":   modeTrace,
+	"figure":       modeFigures,
+	"sweepinstrs":  modeFigures,
+	"j":            modeFigures,
+	"workload":     modeWorkload,
+	"predictor":    modeWorkload,
+	"br":           modeWorkload,
+	"trace":        modeWorkload,
+	"trace-filter": modeWorkload,
 }
 
 // cli holds the parsed command line.
@@ -143,24 +128,21 @@ func parseArgs(args []string, stderr io.Writer) (*cli, error) {
 	fs.StringVar(&c.predictor, "predictor", sim.PredTage64.String(), "predictor for -workload mode: "+strings.Join(sim.PredictorNames(), "|"))
 	fs.StringVar(&c.brConfig, "br", "", "Branch Runahead config for -workload mode: "+strings.Join(runahead.ConfigNames(), "|")+" (empty = predictor alone)")
 
-	fs.StringVar(&c.trace.out, "trace", "", "write a Chrome trace_event JSON of one run to this path and exit")
-	fs.StringVar(&c.trace.filter, "trace-filter", "", "only trace events for one branch: pc=0x...")
-	fs.StringVar(&c.trace.workload, "trace-workload", "leela_17", "workload for -trace mode")
-	fs.StringVar(&c.trace.config, "trace-config", "mini", "configuration for -trace mode: baseline|"+strings.Join(runahead.ConfigNames(), "|"))
+	fs.StringVar(&c.trace.out, "trace", "", "for -workload mode: also simulate the point with the event tracer attached and write a Chrome trace_event JSON to this path")
+	fs.Func("trace-filter", "only trace events for one branch: pc=0x...", func(v string) error {
+		pc, err := parsePCFilter(v)
+		c.trace.filterPC, c.trace.filtered = pc, err == nil
+		return err
+	})
 	if err := fs.Parse(args); err != nil {
 		return nil, err // the flag set has reported it
 	}
-	switch {
-	case c.trace.out != "":
-		c.mode = modeTrace
-	case c.workload != "":
+	if c.workload != "" {
 		c.mode = modeWorkload
-	default:
-		c.mode = modeFigures
 	}
 	var unread []string
 	fs.Visit(func(f *flag.Flag) {
-		if m, ok := flagModes[f.Name]; ok && m&c.mode == 0 {
+		if m, ok := flagModes[f.Name]; ok && m != c.mode {
 			unread = append(unread, fmt.Sprintf("-%s is not read in %s, only in %s", f.Name, c.mode, m))
 		}
 	})
@@ -168,6 +150,8 @@ func parseArgs(args []string, stderr io.Writer) (*cli, error) {
 	switch {
 	case len(unread) > 0:
 		err = errors.New(strings.Join(unread, "; "))
+	case c.trace.filtered && c.trace.out == "":
+		err = errors.New("-trace-filter is not read without -trace")
 	case fs.NArg() > 0:
 		err = fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
@@ -175,7 +159,6 @@ func parseArgs(args []string, stderr io.Writer) (*cli, error) {
 		fmt.Fprintf(stderr, "brexp: %v\n", err)
 		return nil, err
 	}
-	c.trace.warmup, c.trace.instrs = c.warmup, c.instrs
 	return c, nil
 }
 
@@ -215,14 +198,6 @@ func main() {
 		}()
 	}
 
-	if c.mode == modeTrace {
-		if err := runTrace(c.trace); err != nil {
-			fmt.Fprintf(os.Stderr, "brexp: trace: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	s := c.suite()
 
 	if c.mode == modeWorkload {
@@ -238,17 +213,23 @@ func main() {
 				fmt.Fprintf(os.Stderr, "brexp: %v\n", err)
 				os.Exit(1)
 			}
-			return
+		} else {
+			fmt.Printf("%s under %s: IPC %.4f  MPKI %.4f  (%d instrs, %d cycles, %d mispredicts)\n",
+				res.Workload, res.Config, res.IPC, res.MPKI, res.Instrs, res.Cycles, res.Mispred)
+			if c.brConfig != "" {
+				fmt.Printf("chains     %d installed, avg %.1f uops, %.0f%% with affector/guard triggers\n",
+					res.Chains, res.AvgChainLen, 100*res.AGFraction)
+				fmt.Printf("DCE        %d uops (%d loads), %d syncs\n", res.DCEUops, res.DCELoads, res.Syncs)
+				fmt.Printf("merge acc  %.0f%% (WPB) vs %.0f%% (layout heuristic)\n",
+					100*res.MergeAcc, 100*res.MergeAccLayout)
+				fmt.Printf("breakdown  %v\n", res.Breakdown)
+			}
 		}
-		fmt.Printf("%s under %s: IPC %.4f  MPKI %.4f  (%d instrs, %d cycles, %d mispredicts)\n",
-			res.Workload, res.Config, res.IPC, res.MPKI, res.Instrs, res.Cycles, res.Mispred)
-		if c.brConfig != "" {
-			fmt.Printf("chains     %d installed, avg %.1f uops, %.0f%% with affector/guard triggers\n",
-				res.Chains, res.AvgChainLen, 100*res.AGFraction)
-			fmt.Printf("DCE        %d uops (%d loads), %d syncs\n", res.DCEUops, res.DCELoads, res.Syncs)
-			fmt.Printf("merge acc  %.0f%% (WPB) vs %.0f%% (layout heuristic)\n",
-				100*res.MergeAcc, 100*res.MergeAccLayout)
-			fmt.Printf("breakdown  %v\n", res.Breakdown)
+		if c.trace.out != "" {
+			if err := c.runTrace(s, os.Stderr); err != nil {
+				fmt.Fprintf(os.Stderr, "brexp: -trace: %v\n", err)
+				os.Exit(1)
+			}
 		}
 		return
 	}

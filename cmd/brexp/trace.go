@@ -1,32 +1,29 @@
 package main
 
-// The -trace mode: run one simulation with the structured event tracer
-// attached, write a Chrome trace_event JSON file (loadable in Perfetto or
-// chrome://tracing), and cross-check the trace's per-branch prediction
-// aggregation against the run's Figure 12 counters. The two are computed
-// by independent code paths from the same emission sites, so an exact
-// match validates the trace as a faithful record of the run.
+// -trace: simulate the -workload point once more with the structured event
+// tracer attached, write a Chrome trace_event JSON file (loadable in
+// Perfetto or chrome://tracing), and cross-check the trace's per-branch
+// prediction aggregation against the traced run's Figure 12 counters. The
+// two are computed by independent code paths from the same emission sites,
+// so an exact match validates the trace as a faithful record of the run.
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
 
-	br "repro"
-	"repro/internal/runahead"
+	"repro/internal/experiments"
 	"repro/internal/trace"
 )
 
-// traceOptions holds the parsed -trace* flags.
+// traceOptions holds the parsed -trace flags.
 type traceOptions struct {
-	out      string // output JSON path
-	filter   string // "pc=0x..." or empty
-	workload string
-	config   string // baseline or a runahead.ConfigNames name
-	warmup   uint64
-	instrs   uint64
+	out      string // output JSON path; empty means no trace
+	filterPC uint64 // with filtered, trace only this branch's events
+	filtered bool
 }
 
 // parsePCFilter parses "pc=0x4a0" into a PC value.
@@ -42,56 +39,37 @@ func parsePCFilter(s string) (uint64, error) {
 	return pc, nil
 }
 
-// runTrace executes the -trace mode and returns an exit error, if any.
-func runTrace(opts traceOptions) error {
-	var brCfg *br.BRConfig
-	if opts.config != "baseline" {
-		cfg, err := runahead.ConfigByName(opts.config)
-		if err != nil {
-			return err
-		}
-		brCfg = &cfg
-	}
-
-	f, err := os.Create(opts.out)
+// runTrace simulates c's -workload point through s with the tracer
+// attached, as brserve's traced run requests do, writes the trace to
+// c.trace.out and reports on w. A failed run leaves no trace file.
+func (c *cli) runTrace(s *experiments.Suite, w io.Writer) error {
+	f, err := os.Create(c.trace.out)
 	if err != nil {
 		return err
 	}
-	chrome := trace.NewChrome(f)
 	agg := trace.NewBranchAgg()
-	tr := trace.New(chrome, agg)
-	if opts.filter != "" {
-		pc, err := parsePCFilter(opts.filter)
-		if err != nil {
-			return err
-		}
-		tr.FilterPC(pc)
+	tr := trace.New(trace.NewChrome(f), agg)
+	if c.trace.filtered {
+		tr.FilterPC(c.trace.filterPC)
 	}
-
-	res, runErr := br.Run(opts.workload, br.RunConfig{
-		BR:        brCfg,
-		Warmup:    opts.warmup,
-		MaxInstrs: opts.instrs,
-		Trace:     tr,
-	})
-	if cerr := tr.Close(); cerr != nil && runErr == nil {
-		runErr = fmt.Errorf("writing %s: %w", opts.out, cerr)
+	res, err := s.TraceNamed(c.workload, c.predictor, c.brConfig, tr)
+	if cerr := tr.Close(); cerr != nil && err == nil {
+		err = fmt.Errorf("writing %s: %w", c.trace.out, cerr)
 	}
-	if runErr != nil {
-		return runErr
+	if err != nil {
+		os.Remove(c.trace.out)
+		return err
 	}
+	fmt.Fprintf(w, "trace: wrote %s\n", c.trace.out)
 
-	fmt.Printf("trace: %s %s: wrote %s\n", res.Workload, res.Config, opts.out)
-	fmt.Printf("trace: %d cycles, %d instrs, IPC %.3f\n", res.Cycles, res.Instrs, res.IPC)
-
-	if brCfg == nil {
+	if c.brConfig == "" {
 		return nil
 	}
-	if opts.filter != "" {
+	if c.trace.filtered {
 		// A PC filter drops events for every other branch, so the
 		// aggregation covers only the filtered branch; the run-wide
 		// Figure 12 cross-check does not apply.
-		printPerBranch(agg)
+		printPerBranch(w, agg)
 		return nil
 	}
 
@@ -101,22 +79,21 @@ func runTrace(opts traceOptions) error {
 	mismatch := false
 	for _, k := range []string{"inactive", "late", "throttled", "correct", "incorrect"} {
 		if got[k] != res.Breakdown[k] {
-			fmt.Fprintf(os.Stderr, "trace: MISMATCH %s: trace %d, counters %d\n",
-				k, got[k], res.Breakdown[k])
+			fmt.Fprintf(w, "trace: MISMATCH %s: trace %d, counters %d\n", k, got[k], res.Breakdown[k])
 			mismatch = true
 		}
 	}
 	if mismatch {
 		return fmt.Errorf("trace aggregation diverges from the run's Figure 12 counters")
 	}
-	fmt.Printf("trace: aggregation matches Figure 12 counters (inactive=%d late=%d throttled=%d correct=%d incorrect=%d)\n",
+	fmt.Fprintf(w, "trace: aggregation matches Figure 12 counters (inactive=%d late=%d throttled=%d correct=%d incorrect=%d)\n",
 		got["inactive"], got["late"], got["throttled"], got["correct"], got["incorrect"])
-	printPerBranch(agg)
+	printPerBranch(w, agg)
 	return nil
 }
 
 // printPerBranch renders the per-branch Figure 12 decomposition.
-func printPerBranch(agg *trace.BranchAgg) {
+func printPerBranch(w io.Writer, agg *trace.BranchAgg) {
 	per := agg.PerBranch()
 	sort.Slice(per, func(i, j int) bool { return per[i].Totals.Total() > per[j].Totals.Total() })
 	if len(per) > 10 {
@@ -125,10 +102,10 @@ func printPerBranch(agg *trace.BranchAgg) {
 	if len(per) == 0 {
 		return
 	}
-	fmt.Println("trace: top targeted branches:")
+	fmt.Fprintln(w, "trace: top targeted branches:")
 	for _, b := range per {
 		t := b.Totals
-		fmt.Printf("  pc=0x%x total=%d inactive=%d late=%d throttled=%d correct=%d incorrect=%d\n",
+		fmt.Fprintf(w, "  pc=0x%x total=%d inactive=%d late=%d throttled=%d correct=%d incorrect=%d\n",
 			b.PC, t.Total(), t.Inactive, t.Late, t.Throttled, t.Correct, t.Incorrect)
 	}
 }

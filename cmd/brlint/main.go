@@ -18,23 +18,19 @@
 //
 // Exit codes are a contract CI relies on:
 //
-//	0 — clean (every finding fixed, suppressed or baselined)
-//	1 — at least one non-baselined finding
+//	0 — clean (every finding fixed or suppressed)
+//	1 — at least one finding
 //	2 — usage error or the module failed to load/type-check
 //
-// A committed baseline (-baseline brlint.baseline) lets a new rule land
-// before all of its pre-existing findings are fixed; -write-baseline
-// regenerates the file from the current findings. The baseline only
-// ratchets down: when every rule runs, a baseline line that matches no
-// finding is itself a stale-suppression finding (at the line of the
-// baseline file), exactly as an unused //brlint:allow directive is.
+// A finding is accepted only in place, by a //brlint:allow directive that
+// gives the reason at the site; a directive that suppresses nothing is
+// itself a stale-suppression finding.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"go/token"
 	"io"
 	"os"
 	"path/filepath"
@@ -55,13 +51,10 @@ func main() {
 
 // jsonReport is the -json output schema, pinned by TestJSONGolden.
 type jsonReport struct {
-	// Rules is every rule that ran, sorted.
+	// Rules is every rule that ran, in -list order.
 	Rules []string `json:"rules"`
-	// Findings are the non-baselined findings, sorted by file, line, rule,
-	// followed by the stale baseline lines.
+	// Findings are sorted by file, line, rule.
 	Findings []jsonFinding `json:"findings"`
-	// Baselined counts findings absorbed by the -baseline file.
-	Baselined int `json:"baselined"`
 }
 
 type jsonFinding struct {
@@ -77,8 +70,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rules := fs.String("rules", "", "comma-separated subset of rules to run (default: all)")
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	jsonOut := fs.Bool("json", false, "emit a machine-readable JSON report on stdout")
-	baselinePath := fs.String("baseline", "", "baseline file of accepted findings; new findings still fail")
-	writeBaseline := fs.Bool("write-baseline", false, "rewrite the -baseline file from the current findings and exit 0")
 	dirFlag := fs.String("dir", "", "module root to analyze (default: nearest go.mod above the working directory)")
 	if err := fs.Parse(args); err != nil {
 		return exitUsageLoad
@@ -127,55 +118,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	diags := prog.Run(selected)
 
-	// Report module-root-relative paths: stable across checkouts, and what
-	// the committed baseline stores.
+	// Report module-root-relative paths: stable across checkouts.
 	for i := range diags {
 		if rel, err := filepath.Rel(root, diags[i].Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
 			diags[i].Pos.Filename = filepath.ToSlash(rel)
 		}
 	}
 
-	if *writeBaseline {
-		if *baselinePath == "" {
-			fmt.Fprintln(stderr, "brlint: -write-baseline requires -baseline <file>")
-			return exitUsageLoad
-		}
-		if err := os.WriteFile(*baselinePath, analysis.FormatBaseline(diags), 0o644); err != nil {
-			fmt.Fprintln(stderr, "brlint:", err)
-			return exitUsageLoad
-		}
-		fmt.Fprintf(stderr, "brlint: wrote %d finding(s) to %s\n", len(diags), *baselinePath)
-		return exitClean
-	}
-
-	baselined := 0
-	if *baselinePath != "" {
-		data, err := os.ReadFile(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(stderr, "brlint:", err)
-			return exitUsageLoad
-		}
-		bl, err := analysis.ParseBaseline(data)
-		if err != nil {
-			fmt.Fprintf(stderr, "brlint: %s: %v\n", *baselinePath, err)
-			return exitUsageLoad
-		}
-		var unmatched []analysis.BaselineLine
-		diags, baselined, unmatched = bl.Filter(diags)
-		// A subset run leaves the other rules' lines unmatched by design.
-		if *rules == "" {
-			for _, l := range unmatched {
-				diags = append(diags, analysis.Diagnostic{
-					Pos:     token.Position{Filename: *baselinePath, Line: l.Line},
-					Rule:    analysis.RuleStaleSuppression,
-					Message: "baseline line matches no finding; remove it: " + l.Text,
-				})
-			}
-		}
-	}
-
 	if *jsonOut {
-		report := jsonReport{Findings: []jsonFinding{}, Baselined: baselined}
+		report := jsonReport{Findings: []jsonFinding{}}
 		for _, a := range selected {
 			report.Rules = append(report.Rules, a.Name)
 		}
@@ -196,15 +147,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if len(diags) > 0 {
-		fmt.Fprintf(stderr, "brlint: %d finding(s)", len(diags))
-		if baselined > 0 {
-			fmt.Fprintf(stderr, " (+%d baselined)", baselined)
-		}
-		fmt.Fprintln(stderr)
+		fmt.Fprintf(stderr, "brlint: %d finding(s)\n", len(diags))
 		return exitFindings
-	}
-	if baselined > 0 {
-		fmt.Fprintf(stderr, "brlint: clean (%d baselined)\n", baselined)
 	}
 	return exitClean
 }

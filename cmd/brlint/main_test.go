@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -74,8 +73,13 @@ func TestExitUsageErrors(t *testing.T) {
 	if code, _, stderr := runBrlint(t, "-rules", "no-such-rule", "-dir", fixture(t, "clean")); code != exitUsageLoad || !strings.Contains(stderr, "unknown rule") {
 		t.Fatalf("unknown rule: exit = %d, stderr = %q", code, stderr)
 	}
-	if code, _, _ := runBrlint(t, "-write-baseline", "-dir", fixture(t, "dirty")); code != exitUsageLoad {
-		t.Fatalf("-write-baseline without -baseline: exit = %d, want %d", code, exitUsageLoad)
+	// The retired baseline flags fail as undefined, so a stale script
+	// fails loudly instead of running without its baseline.
+	for _, args := range [][]string{{"-baseline", "brlint.baseline"}, {"-write-baseline"}} {
+		code, _, stderr := runBrlint(t, append(args, "-dir", fixture(t, "dirty"))...)
+		if code != exitUsageLoad || !strings.Contains(stderr, "flag provided but not defined: "+args[0]) {
+			t.Fatalf("brlint %s: exit = %d, stderr = %q", strings.Join(args, " "), code, stderr)
+		}
 	}
 }
 
@@ -92,94 +96,6 @@ func TestRulesSubset(t *testing.T) {
 	code, stdout, _ := runBrlint(t, "-rules", "trace-guard", "-dir", fixture(t, "dirty"))
 	if code != exitClean || stdout != "" {
 		t.Fatalf("subset run should be clean: exit = %d, stdout = %q", code, stdout)
-	}
-}
-
-// TestBaselineWorkflow drives the full baseline lifecycle: write it from a
-// dirty module, rerun clean against it, then check a fresh finding still
-// fails.
-func TestBaselineWorkflow(t *testing.T) {
-	bl := filepath.Join(t.TempDir(), "brlint.baseline")
-
-	code, _, stderr := runBrlint(t, "-dir", fixture(t, "dirty"), "-baseline", bl, "-write-baseline")
-	if code != exitClean {
-		t.Fatalf("write-baseline: exit = %d (stderr: %s)", code, stderr)
-	}
-
-	code, stdout, stderr := runBrlint(t, "-dir", fixture(t, "dirty"), "-baseline", bl)
-	if code != exitClean || stdout != "" {
-		t.Fatalf("baselined run should be clean: exit = %d, stdout = %q, stderr = %q", code, stdout, stderr)
-	}
-	if !strings.Contains(stderr, "clean (2 baselined)") {
-		t.Fatalf("stderr should report the baselined count, got %q", stderr)
-	}
-
-	// Truncate the baseline to one entry: the other finding is "new" again.
-	data, err := os.ReadFile(bl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var keep []string
-	for _, line := range strings.Split(string(data), "\n") {
-		if strings.Contains(line, "time.Now") {
-			continue
-		}
-		keep = append(keep, line)
-	}
-	if err := os.WriteFile(bl, []byte(strings.Join(keep, "\n")), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, stdout, _ = runBrlint(t, "-dir", fixture(t, "dirty"), "-baseline", bl)
-	if code != exitFindings || !strings.Contains(stdout, "time.Now") {
-		t.Fatalf("non-baselined finding must still fail: exit = %d, stdout = %q", code, stdout)
-	}
-}
-
-// TestBaselineStaleLine: a baseline line that matches no finding fails a
-// full run, in text and in -json, so the baseline only ratchets down. A
-// -rules subset leaves the other rules' lines unmatched, so it does not
-// report them.
-func TestBaselineStaleLine(t *testing.T) {
-	bl := filepath.Join(t.TempDir(), "brlint.baseline")
-	if code, _, stderr := runBrlint(t, "-dir", fixture(t, "dirty"), "-baseline", bl, "-write-baseline"); code != exitClean {
-		t.Fatalf("write-baseline: exit = %d (stderr: %s)", code, stderr)
-	}
-	data, err := os.ReadFile(bl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const stale = "internal/core/core.go: determinism: a finding fixed long ago"
-	data = append(data, stale+"\n"...)
-	if err := os.WriteFile(bl, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	staleLine := strings.Count(string(data), "\n")
-
-	code, stdout, stderr := runBrlint(t, "-dir", fixture(t, "dirty"), "-baseline", bl)
-	want := fmt.Sprintf("%s:%d: stale-suppression: baseline line matches no finding; remove it: %s\n", bl, staleLine, stale)
-	if code != exitFindings || stdout != want {
-		t.Fatalf("stale baseline line: exit = %d, stdout = %q, want %q (stderr: %s)", code, stdout, want, stderr)
-	}
-	if !strings.Contains(stderr, "1 finding(s) (+2 baselined)") {
-		t.Fatalf("stderr should count the stale line as a finding, got %q", stderr)
-	}
-
-	code, stdout, _ = runBrlint(t, "-json", "-dir", fixture(t, "dirty"), "-baseline", bl)
-	var rep struct {
-		Findings []jsonFinding `json:"findings"`
-	}
-	if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
-		t.Fatalf("output is not valid JSON: %v", err)
-	}
-	if code != exitFindings || len(rep.Findings) != 1 || rep.Findings[0] != (jsonFinding{
-		File: bl, Line: staleLine, Rule: "stale-suppression",
-		Message: "baseline line matches no finding; remove it: " + stale,
-	}) {
-		t.Fatalf("-json: exit = %d, findings = %+v", code, rep.Findings)
-	}
-
-	if code, stdout, _ := runBrlint(t, "-rules", "determinism", "-dir", fixture(t, "dirty"), "-baseline", bl); code != exitClean || stdout != "" {
-		t.Fatalf("subset run must not report unmatched lines: exit = %d, stdout = %q", code, stdout)
 	}
 }
 
@@ -216,7 +132,6 @@ func TestJSONGolden(t *testing.T) {
 			Rule    string `json:"rule"`
 			Message string `json:"message"`
 		} `json:"findings"`
-		Baselined int `json:"baselined"`
 	}
 	if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
 		t.Fatalf("output is not valid JSON: %v", err)

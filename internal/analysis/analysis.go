@@ -100,16 +100,6 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// Lookup returns the package with the given import path, or nil.
-func (p *Program) Lookup(path string) *Package {
-	for _, pkg := range p.Pkgs {
-		if pkg.Path == path {
-			return pkg
-		}
-	}
-	return nil
-}
-
 // Position resolves a token.Pos against the program's FileSet.
 func (p *Program) Position(pos token.Pos) token.Position {
 	return p.Fset.Position(pos)

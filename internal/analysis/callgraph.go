@@ -128,9 +128,6 @@ func (p *Program) CallGraph() *CallGraph {
 	return p.cg
 }
 
-// NodeForFunc returns the node for a declared module function, or nil.
-func (g *CallGraph) NodeForFunc(fn *types.Func) *Node { return g.byFn[fn] }
-
 // Callees returns n's outgoing edges in deterministic order.
 func (g *CallGraph) Callees(n *Node) []*Node { return g.callees[n] }
 

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"go/types"
 	"strings"
 	"testing"
 )
@@ -175,16 +174,5 @@ func C() {}
 	}
 	if got, want := Path(parent, c), "app.A → app.B → app.C"; got != want {
 		t.Fatalf("Path = %q, want %q", got, want)
-	}
-}
-
-func TestCallGraphNodeForFunc(t *testing.T) {
-	prog := loadFixture(t, fixturePkg{path: "repro/internal/app", files: map[string]string{"app.go": `package app
-func F() {}
-`}})
-	g := prog.CallGraph()
-	obj := prog.Pkgs[0].Types.Scope().Lookup("F").(*types.Func)
-	if n := g.NodeForFunc(obj); n == nil || n.Name() != "app.F" {
-		t.Fatalf("NodeForFunc(F) = %v", n)
 	}
 }

@@ -121,12 +121,11 @@ type decInfo struct {
 func buildDecode(cfg *Config, src InstrSource) []decInfo {
 	dec := make([]decInfo, src.NumUops())
 	var srcBuf [4]isa.Reg
-	var dstBuf [2]isa.Reg
 	for pc := range dec {
 		u := src.UopAt(uint64(pc))
 		de := &dec[pc]
-		de.nsrc = uint8(copy(de.srcs[:], u.SrcRegs(srcBuf[:0])))
-		de.ndst = uint8(copy(de.dsts[:], u.DstRegs(dstBuf[:0])))
+		de.nsrc = uint8(copy(de.srcs[:], srcBuf[:u.SrcRegN(&srcBuf)]))
+		de.ndst = uint8(u.DstRegN(&de.dsts))
 		de.isCondBr = u.Op.IsCondBranch()
 		de.lat = opLatency(cfg, u.Op)
 	}

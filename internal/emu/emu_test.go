@@ -36,8 +36,8 @@ func TestMemoryCrossPageAccess(t *testing.T) {
 	if got := m.Read(addr, 8); got != 0xDEADBEEFCAFEF00D {
 		t.Fatalf("cross-page read = %#x", got)
 	}
-	if m.MappedPages() != 2 {
-		t.Fatalf("pages = %d, want 2", m.MappedPages())
+	if len(m.pages) != 2 {
+		t.Fatalf("pages = %d, want 2", len(m.pages))
 	}
 }
 
@@ -138,19 +138,6 @@ func TestRunnerStepCountAndPCError(t *testing.T) {
 	r.State.PC = 100
 	if _, err := r.StepOne(); err == nil {
 		t.Fatal("expected out-of-program error")
-	}
-}
-
-func TestLoadOnlyMemDropsStores(t *testing.T) {
-	m := NewMemory()
-	m.Write(0x10, 8, 42)
-	v := LoadOnlyMem{m}
-	v.Store(0x10, 8, 99)
-	if got := m.Read(0x10, 8); got != 42 {
-		t.Fatalf("LoadOnlyMem leaked a store: %d", got)
-	}
-	if got := v.Load(0x10, 8, false); got != 42 {
-		t.Fatalf("LoadOnlyMem load = %d", got)
 	}
 }
 

@@ -94,9 +94,6 @@ func (m *Memory) LoadSegment(base uint64, raw []byte) {
 	}
 }
 
-// MappedPages returns the number of resident pages (for stats/tests).
-func (m *Memory) MappedPages() int { return len(m.pages) }
-
 // SignExtend sign-extends the low size bytes of v.
 func SignExtend(v uint64, size uint8) uint64 {
 	switch size {
@@ -114,7 +111,8 @@ func SignExtend(v uint64, size uint8) uint64 {
 // MemView abstracts the memory a functional step observes. The core's
 // front-end implements it with committed memory plus an in-flight store
 // overlay (store-to-load forwarding at fetch time); plain functional
-// execution and the DCE implement it with committed memory alone.
+// execution implements it with committed memory alone (DirectMem). The DCE
+// needs no view: it reads committed memory directly and never stores.
 type MemView interface {
 	// Load returns size bytes at addr, sign-extended when signed.
 	Load(addr uint64, size uint8, signed bool) uint64
@@ -138,16 +136,3 @@ func (d DirectMem) Load(addr uint64, size uint8, signed bool) uint64 {
 func (d DirectMem) Store(addr uint64, size uint8, v uint64) {
 	d.M.Write(addr, size, v)
 }
-
-// LoadOnlyMem adapts Memory to a MemView whose stores are dropped. The DCE
-// executes dependence chains, which by construction contain no stores, but a
-// defensive view keeps a malformed chain from corrupting committed state.
-type LoadOnlyMem struct{ M *Memory }
-
-// Load implements MemView.
-func (l LoadOnlyMem) Load(addr uint64, size uint8, signed bool) uint64 {
-	return DirectMem{l.M}.Load(addr, size, signed)
-}
-
-// Store implements MemView; it discards the write.
-func (l LoadOnlyMem) Store(uint64, uint8, uint64) {}

@@ -1,7 +1,7 @@
 // Package graph generates the input graphs for the GAP-suite workload
 // kernels (bfs, cc, tc, bc, pr, sssp). The paper runs GAP with "-g 19"
-// (a 2^19-node Kronecker graph); we generate smaller power-law and uniform
-// graphs in CSR form, sized so adjacency and property arrays exceed branch
+// (a 2^19-node Kronecker graph); we generate smaller power-law graphs in
+// CSR form, sized so adjacency and property arrays exceed branch
 // predictor capacity while staying laptop-friendly.
 package graph
 
@@ -13,27 +13,6 @@ type CSR struct {
 	RowPtr  []uint32 // len N+1
 	ColIdx  []uint32 // len M
 	Weights []uint32 // len M, parallel to ColIdx (for sssp)
-}
-
-// M returns the edge count.
-func (g *CSR) M() int { return len(g.ColIdx) }
-
-// Degree returns the out-degree of v.
-func (g *CSR) Degree(v int) int { return int(g.RowPtr[v+1] - g.RowPtr[v]) }
-
-// Uniform generates an Erdős–Rényi-style graph with n vertices and average
-// degree deg. Adjacency lists are sorted (tc requires it).
-func Uniform(n, deg int, seed int64) *CSR {
-	r := rand.New(rand.NewSource(seed))
-	adj := make([][]uint32, n)
-	for v := 0; v < n; v++ {
-		d := deg/2 + r.Intn(deg+1)
-		for k := 0; k < d; k++ {
-			u := uint32(r.Intn(n))
-			adj[v] = append(adj[v], u)
-		}
-	}
-	return fromAdj(adj, r)
 }
 
 // PowerLaw generates a graph with a skewed degree distribution reminiscent
@@ -82,32 +61,4 @@ func sortU32(a []uint32) {
 		}
 		a[j+1] = v
 	}
-}
-
-// BFSOrder returns the vertices in breadth-first order from src (vertices
-// unreachable from src are appended at the end). Used by workload
-// self-checks.
-func (g *CSR) BFSOrder(src int) []int {
-	visited := make([]bool, g.N)
-	order := make([]int, 0, g.N)
-	queue := []int{src}
-	visited[src] = true
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		for i := g.RowPtr[v]; i < g.RowPtr[v+1]; i++ {
-			u := int(g.ColIdx[i])
-			if !visited[u] {
-				visited[u] = true
-				queue = append(queue, u)
-			}
-		}
-	}
-	for v := 0; v < g.N; v++ {
-		if !visited[v] {
-			order = append(order, v)
-		}
-	}
-	return order
 }

@@ -332,16 +332,9 @@ func (u *Uop) HasDst() bool {
 	}
 }
 
-// DstRegs appends the architectural registers written by the micro-op to
-// buf and returns the extended slice. Compare/test write RegFlags.
-func (u *Uop) DstRegs(buf []Reg) []Reg {
-	var tmp [2]Reg
-	return append(buf, tmp[:u.DstRegN(&tmp)]...)
-}
-
-// DstRegN writes the registers written by the micro-op into dst and returns
-// the count (at most two: an architectural destination plus RegFlags). It is
-// the allocation-free variant of DstRegs for per-retire hot loops.
+// DstRegN writes the architectural registers written by the micro-op into
+// dst and returns the count (at most two: an architectural destination plus
+// RegFlags, which compare/test write).
 func (u *Uop) DstRegN(dst *[2]Reg) int {
 	n := 0
 	if u.HasDst() {
@@ -355,10 +348,9 @@ func (u *Uop) DstRegN(dst *[2]Reg) int {
 	return n
 }
 
-// SrcRegN writes the registers read by the micro-op into src and returns the
-// count (at most three: two address/operand sources plus a store's data
-// register). It is the allocation-free variant of SrcRegs for per-retire hot
-// loops.
+// SrcRegN writes the architectural registers read by the micro-op into src
+// and returns the count (at most three: two address/operand sources plus a
+// store's data register). Conditional branches read RegFlags.
 func (u *Uop) SrcRegN(src *[4]Reg) int {
 	switch u.Op {
 	case OpNop, OpMovI, OpJmp, OpHalt:
@@ -396,14 +388,6 @@ func (u *Uop) SrcRegN(src *[4]Reg) int {
 		}
 		return 1
 	}
-}
-
-// SrcRegs appends the architectural registers read by the micro-op to buf
-// and returns the extended slice. Conditional branches read RegFlags;
-// stores read their data register.
-func (u *Uop) SrcRegs(buf []Reg) []Reg {
-	var tmp [4]Reg
-	return append(buf, tmp[:u.SrcRegN(&tmp)]...)
 }
 
 // Validate checks structural well-formedness of the micro-op. It does not

@@ -99,34 +99,31 @@ func TestALUResultBasics(t *testing.T) {
 }
 
 func TestSrcDstRegs(t *testing.T) {
-	var buf [4]Reg
+	var src [4]Reg
+	var dst [2]Reg
 	ld := Uop{Op: OpLd, Dst: R1, Src1: R2, Src2: R3, Scale: 4, MemSize: 4}
-	srcs := ld.SrcRegs(buf[:0])
-	if len(srcs) != 2 || srcs[0] != R2 || srcs[1] != R3 {
-		t.Fatalf("load srcs = %v", srcs)
+	if n := ld.SrcRegN(&src); n != 2 || src[0] != R2 || src[1] != R3 {
+		t.Fatalf("load srcs = %v", src[:n])
 	}
-	var dbuf [2]Reg
-	if d := ld.DstRegs(dbuf[:0]); len(d) != 1 || d[0] != R1 {
-		t.Fatalf("load dsts = %v", d)
+	if n := ld.DstRegN(&dst); n != 1 || dst[0] != R1 {
+		t.Fatalf("load dsts = %v", dst[:n])
 	}
 
 	st := Uop{Op: OpSt, Dst: R4, Src1: R5, MemSize: 8}
-	srcs = st.SrcRegs(buf[:0])
-	if len(srcs) != 2 || srcs[0] != R5 || srcs[1] != R4 {
-		t.Fatalf("store srcs = %v (data register must be a source)", srcs)
+	if n := st.SrcRegN(&src); n != 2 || src[0] != R5 || src[1] != R4 {
+		t.Fatalf("store srcs = %v (data register must be a source)", src[:n])
 	}
-	if d := st.DstRegs(dbuf[:0]); len(d) != 0 {
-		t.Fatalf("store dsts = %v, want none", d)
+	if n := st.DstRegN(&dst); n != 0 {
+		t.Fatalf("store dsts = %v, want none", dst[:n])
 	}
 
 	cmp := Uop{Op: OpCmp, Src1: R1, Src2: R2}
-	if d := cmp.DstRegs(dbuf[:0]); len(d) != 1 || d[0] != RegFlags {
-		t.Fatalf("cmp dsts = %v, want flags", d)
+	if n := cmp.DstRegN(&dst); n != 1 || dst[0] != RegFlags {
+		t.Fatalf("cmp dsts = %v, want flags", dst[:n])
 	}
 	br := Uop{Op: OpBr, Cond: CondEQ}
-	srcs = br.SrcRegs(buf[:0])
-	if len(srcs) != 1 || srcs[0] != RegFlags {
-		t.Fatalf("branch srcs = %v, want flags", srcs)
+	if n := br.SrcRegN(&src); n != 1 || src[0] != RegFlags {
+		t.Fatalf("branch srcs = %v, want flags", src[:n])
 	}
 }
 

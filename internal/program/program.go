@@ -266,12 +266,6 @@ func (b *Builder) Jmp(label string) *Builder {
 // PC returns the index the next emitted micro-op will occupy.
 func (b *Builder) PC() uint64 { return uint64(len(b.uops)) }
 
-// LabelPC returns the resolved address of a label defined so far.
-func (b *Builder) LabelPC(name string) (uint64, bool) {
-	pc, ok := b.labels[name]
-	return pc, ok
-}
-
 // Build resolves labels and returns the validated program.
 func (b *Builder) Build() (*Program, error) {
 	if b.err != nil {

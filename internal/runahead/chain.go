@@ -386,20 +386,12 @@ func (x *extractor) noteLiveOut(r isa.Reg, vid int) {
 
 const maxInt = int(^uint(0) >> 1)
 
-// ExtractChain walks the CEB backwards from the most recently retired
-// instance of the hard branch (which must be the newest CEB entry) and
-// returns its dependence chain. agSet lists the branch's known
-// affector/guard PCs, which terminate the walk (paper §4.3). This
-// convenience wrapper allocates a fresh extractor per call, so the chain is
-// the caller's; the System reuses one extractor across all its extractions
-// instead, and its chains last only until the next walk.
-func ExtractChain(ceb *CEB, cfg *Config, agSet []uint64) (*Chain, error) {
-	return newExtractor().extract(ceb, cfg, agSet)
-}
-
-// extract runs one backward walk, reusing the extractor's scratch buffers.
-// The returned chain is the extractor's own and is overwritten by the next
-// walk.
+// extract walks the CEB backwards from the most recently retired instance
+// of the hard branch (which must be the newest CEB entry) and returns its
+// dependence chain. agSet lists the branch's known affector/guard PCs,
+// which terminate the walk (paper §4.3). The walk reuses the extractor's
+// scratch buffers: the returned chain is the extractor's own and is
+// overwritten by the next walk.
 func (x *extractor) extract(ceb *CEB, cfg *Config, agSet []uint64) (*Chain, error) {
 	if ceb.Len() == 0 {
 		return nil, errEmptyCEB

@@ -47,7 +47,7 @@ func TestExtractFigure9(t *testing.T) {
 	}
 	cfg := miniCfg()
 	ceb := buildCEB(t, loop, nil, nil)
-	ch, err := ExtractChain(ceb, &cfg, nil)
+	ch, err := newExtractor().extract(ceb, &cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestExtractStoreLoadPairElimination(t *testing.T) {
 	}
 	addrs := []uint64{0, 0, 0x100, 0x100, 0, 0}
 	cfg := miniCfg()
-	ch, err := ExtractChain(buildCEB(t, seq, nil, addrs), &cfg, nil)
+	ch, err := newExtractor().extract(buildCEB(t, seq, nil, addrs), &cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestExtractTerminatesAtGuard(t *testing.T) {
 	}
 	takens := []bool{false, false, false, false}
 	cfg := miniCfg()
-	ch, err := ExtractChain(buildCEB(t, seq, takens, nil), &cfg, []uint64{40})
+	ch, err := newExtractor().extract(buildCEB(t, seq, takens, nil), &cfg, []uint64{40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestExtractRejectsExpensiveOps(t *testing.T) {
 		{PC: 7, Op: isa.OpBr, Cond: isa.CondEQ, Imm: 0},
 	}
 	cfg := miniCfg()
-	if _, err := ExtractChain(buildCEB(t, seq, nil, nil), &cfg, nil); err == nil {
+	if _, err := newExtractor().extract(buildCEB(t, seq, nil, nil), &cfg, nil); err == nil {
 		t.Fatal("expected extraction to reject a divide in the slice")
 	}
 }
@@ -175,7 +175,7 @@ func TestExtractRejectsOverlongChains(t *testing.T) {
 	)
 	cfg := miniCfg()
 	cfg.MaxChainLen = 16
-	if _, err := ExtractChain(buildCEB(t, seq, nil, nil), &cfg, nil); err == nil {
+	if _, err := newExtractor().extract(buildCEB(t, seq, nil, nil), &cfg, nil); err == nil {
 		t.Fatal("expected extraction to reject an overlong chain")
 	}
 }
@@ -193,7 +193,7 @@ func TestExtractSkipsUnrelatedUops(t *testing.T) {
 		{PC: 7, Op: isa.OpBr, Cond: isa.CondEQ, Imm: 0},
 	}
 	cfg := miniCfg()
-	ch, err := ExtractChain(buildCEB(t, seq, nil, nil), &cfg, nil)
+	ch, err := newExtractor().extract(buildCEB(t, seq, nil, nil), &cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestExtractorReuseMatchesFresh(t *testing.T) {
 			if err != nil {
 				t.Fatalf("round %d seq %d: reused: %v", round, i, err)
 			}
-			fresh, err := ExtractChain(ceb, &cfg, nil)
+			fresh, err := newExtractor().extract(ceb, &cfg, nil)
 			if err != nil {
 				t.Fatalf("round %d seq %d: fresh: %v", round, i, err)
 			}

@@ -128,9 +128,6 @@ func (c *ChainCache) HasBranch(pc uint64) bool {
 	return false
 }
 
-// Len returns the number of cached chains.
-func (c *ChainCache) Len() int { return len(c.entries) }
-
 // All returns the cached chains (stats and examples).
 func (c *ChainCache) All() []*Chain {
 	out := make([]*Chain, 0, len(c.entries))

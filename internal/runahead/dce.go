@@ -1205,6 +1205,3 @@ func (e *DCE) executeUop(now uint64, in *Instance, i int, u *ChainUop) {
 	}
 	e.doneQ.push(event{key: doneAt, instRef: instRef{in, in.id}, uop: i})
 }
-
-// ActiveInstances returns the current window occupancy.
-func (e *DCE) ActiveInstances() int { return e.activeRun }

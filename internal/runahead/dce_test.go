@@ -179,8 +179,8 @@ func TestDCEWindowBound(t *testing.T) {
 	dce.Sync(0, 7, true, &regs)
 	for now := uint64(1); now < 2000; now++ {
 		dce.Tick(now, 4, 92)
-		if dce.ActiveInstances() > 8 {
-			t.Fatalf("window %d exceeded: %d active", cfg.Window, dce.ActiveInstances())
+		if dce.activeRun > 8 {
+			t.Fatalf("window %d exceeded: %d active", cfg.Window, dce.activeRun)
 		}
 	}
 	if dce.C.Get("completions") < 20 {
@@ -210,12 +210,12 @@ func TestDCEDeactivateFamilyKillsInstances(t *testing.T) {
 	var regs emu.RegFile
 	regs.Set(isa.R1, 0x1000)
 	dce.Sync(0, 7, true, &regs)
-	if dce.ActiveInstances() == 0 {
+	if dce.activeRun == 0 {
 		t.Fatal("precondition: instances running")
 	}
 	dce.DeactivateFamily(0, 7)
-	if dce.ActiveInstances() != 0 {
-		t.Fatalf("%d instances survived deactivation", dce.ActiveInstances())
+	if dce.activeRun != 0 {
+		t.Fatalf("%d instances survived deactivation", dce.activeRun)
 	}
 	if q := pqs.For(7); q == nil || q.active {
 		t.Fatal("queue still active after divergence")

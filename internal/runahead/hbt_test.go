@@ -165,8 +165,8 @@ func TestChainCacheLRUAndLookup(t *testing.T) {
 	// Install a third chain: the LRU entry (b, least recently hit) evicts.
 	c := mk(3, 9, OutTaken)
 	cc.Install(c)
-	if cc.Len() != 2 {
-		t.Fatalf("len = %d", cc.Len())
+	if len(cc.entries) != 2 {
+		t.Fatalf("len = %d", len(cc.entries))
 	}
 	if got := cc.Lookup(nil, 1, true); len(got) != 1 {
 		t.Fatal("recently used wildcard was evicted")
@@ -244,7 +244,7 @@ func TestPredictionQueuePointers(t *testing.T) {
 	// Checkpoint, consume two, restore: the fetch pointer must rewind.
 	cp := pqs.Checkpoint()
 	q.fetch = 2
-	pqs.Restore(cp)
+	pqs.RestoreAt(0, cp)
 	if q.fetch != 0 {
 		t.Fatalf("fetch pointer %d after restore, want 0", q.fetch)
 	}
@@ -253,7 +253,7 @@ func TestPredictionQueuePointers(t *testing.T) {
 	cp2 := pqs.Checkpoint()
 	q.reset(1)
 	q.fetch = 5
-	pqs.Restore(cp2)
+	pqs.RestoreAt(0, cp2)
 	if q.fetch != 5 {
 		t.Fatal("stale checkpoint restored across a reset")
 	}

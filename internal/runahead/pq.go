@@ -189,12 +189,10 @@ func (s *PQSet) Release(cp *pqCheckpoint) {
 	s.cpPool = append(s.cpPool, cp) //brlint:allow hot-path-alloc
 }
 
-// Restore rewinds fetch pointers to a checkpoint, reinserting previously
-// consumed predictions into their original queue positions.
-func (s *PQSet) Restore(cp *pqCheckpoint) { s.RestoreAt(0, cp) }
-
-// RestoreAt is Restore stamped with the recovery cycle: every queue whose
-// fetch pointer actually rewinds emits a pq_restore event.
+// RestoreAt rewinds fetch pointers to a checkpoint, reinserting previously
+// consumed predictions into their original queue positions. now is the
+// recovery cycle: every queue whose fetch pointer actually rewinds emits a
+// pq_restore event.
 func (s *PQSet) RestoreAt(now uint64, cp *pqCheckpoint) {
 	if cp == nil {
 		return

@@ -11,7 +11,7 @@ func TestPQSetCheckpointPoolNoAlloc(t *testing.T) {
 	s.Release(s.Checkpoint())
 	allocs := testing.AllocsPerRun(200, func() {
 		cp := s.Checkpoint()
-		s.Restore(cp)
+		s.RestoreAt(0, cp)
 		s.Release(cp)
 	})
 	if allocs != 0 {
@@ -34,7 +34,7 @@ func TestPQSetPooledCheckpointRestores(t *testing.T) {
 	q.fetch = 2
 	cp := s.Checkpoint()
 	q.fetch = 4
-	s.Restore(cp)
+	s.RestoreAt(0, cp)
 	s.Release(cp)
 	if q.fetch != 2 {
 		t.Fatalf("restored fetch pointer = %d, want 2", q.fetch)
@@ -45,7 +45,7 @@ func TestPQSetPooledCheckpointRestores(t *testing.T) {
 	cp2 := s.Checkpoint()
 	q.reset(2)
 	q.alloc = 1
-	s.Restore(cp2)
+	s.RestoreAt(0, cp2)
 	s.Release(cp2)
 	if q.fetch != 0 {
 		t.Fatalf("stale checkpoint restored across a reset: fetch = %d", q.fetch)

@@ -10,16 +10,16 @@ import (
 
 func TestCountersRoundTrip(t *testing.T) {
 	c := NewCounters()
-	c.Add("zeta", 7)
-	c.Inc("alpha")
-	c.Set("mid", 1<<40)
+	c.Handle("zeta").Add(7)
+	c.Handle("alpha").Inc()
+	c.Handle("mid").Add(1 << 40)
 	h := c.Handle("handled")
 	h.Add(41)
 
 	fresh := NewCounters()
 	fresh.CopyFrom(c)
 	simtest.RequireDeepEqual(t, "counter values", c.Snapshot(), fresh.Snapshot())
-	fresh.Inc("zeta")
+	fresh.Handle("zeta").Inc()
 	if got := c.Get("zeta"); got != 7 {
 		t.Fatalf("incrementing the copy changed the original: zeta = %d, want 7", got)
 	}
@@ -30,10 +30,10 @@ func TestCountersRoundTrip(t *testing.T) {
 // keep both sets intact.
 func TestCountersLoadIntoLaterRegistrations(t *testing.T) {
 	c := NewCounters()
-	c.Add("saved", 3)
+	c.Handle("saved").Add(3)
 
 	fresh := NewCounters()
-	fresh.Add("preexisting", 9)
+	fresh.Handle("preexisting").Add(9)
 	fresh.CopyFrom(c)
 	if got := fresh.Get("saved"); got != 3 {
 		t.Fatalf("saved counter = %d, want 3", got)

@@ -58,12 +58,6 @@ func (h Counter) Add(n uint64) { h.c.vals[h.i] += n }
 // Get returns the counter's value.
 func (h Counter) Get() uint64 { return h.c.vals[h.i] }
 
-// Add increments a counter by n.
-func (c *Counters) Add(name string, n uint64) { c.vals[c.slot(name)] += n }
-
-// Inc increments a counter by one.
-func (c *Counters) Inc(name string) { c.vals[c.slot(name)]++ }
-
 // Get returns a counter's value (zero when never registered).
 func (c *Counters) Get(name string) uint64 {
 	if i, ok := c.idx[name]; ok {
@@ -71,9 +65,6 @@ func (c *Counters) Get(name string) uint64 {
 	}
 	return 0
 }
-
-// Set overwrites a counter's value.
-func (c *Counters) Set(name string, v uint64) { c.vals[c.slot(name)] = v }
 
 // Names returns the sorted counter names (registered handles included).
 func (c *Counters) Names() []string {

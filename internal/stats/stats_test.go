@@ -9,9 +9,9 @@ import (
 
 func TestCountersBasics(t *testing.T) {
 	c := NewCounters()
-	c.Inc("a")
-	c.Add("a", 4)
-	c.Set("b", 7)
+	c.Handle("a").Inc()
+	c.Handle("a").Add(4)
+	c.Handle("b").Add(7)
 	if c.Get("a") != 5 || c.Get("b") != 7 || c.Get("missing") != 0 {
 		t.Fatalf("a=%d b=%d", c.Get("a"), c.Get("b"))
 	}
@@ -32,18 +32,18 @@ func TestCounterHandles(t *testing.T) {
 	if h.Get() != 4 {
 		t.Fatalf("handle Get = %d, want 4", h.Get())
 	}
-	// The string API observes handle increments and vice versa.
+	// Get observes handle increments, and handles to one name share it.
 	if c.Get("hits") != 4 {
 		t.Fatalf("Get(hits) = %d, want 4", c.Get("hits"))
 	}
-	c.Inc("hits")
+	c.Handle("hits").Inc()
 	if h.Get() != 5 {
-		t.Fatalf("handle misses string-API increment: %d", h.Get())
+		t.Fatalf("handle misses another handle's increment: %d", h.Get())
 	}
 	// Handle registration is idempotent and stable across later growth.
 	h2 := c.Handle("hits")
 	for i := 0; i < 100; i++ {
-		c.Inc("filler" + string(rune('a'+i%26)) + string(rune('0'+i/26)))
+		c.Handle("filler" + string(rune('a'+i%26)) + string(rune('0'+i/26))).Inc()
 	}
 	h2.Inc()
 	if h.Get() != 6 || c.Get("hits") != 6 {

@@ -6,10 +6,10 @@
 // Every event carries the cycle it happened on, the static branch PC it
 // concerns (when one exists) and a small typed payload encoded in the
 // fixed Event fields — no interface{} payloads, so emitting into a
-// preallocated sink does not allocate. Sinks include an in-memory ring
-// buffer (tests, ad-hoc debugging), a Chrome trace_event JSON exporter
-// (chrome://tracing / Perfetto) and a per-branch aggregation that
-// recomputes the paper's Figure 12 prediction categories from raw events.
+// preallocated sink does not allocate. The sinks are a Chrome trace_event
+// JSON exporter (chrome://tracing / Perfetto) and a per-branch aggregation
+// that recomputes the paper's Figure 12 prediction categories from raw
+// events.
 //
 // The disabled path is a single nil check: a nil *Tracer reports
 // Enabled() == false, and every emission site in the simulator is guarded

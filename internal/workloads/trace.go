@@ -56,12 +56,6 @@ func TraceNames() []string {
 	return out
 }
 
-// TracePath reports the file a registered trace name resolves to.
-func TracePath(name string) (string, bool) {
-	p, ok := traceFiles[name]
-	return p, ok
-}
-
 // isFingerprint reports whether s looks like a btrace fingerprint (16
 // lowercase hex digits), the only suffix traceWorkload splits off — so file
 // paths containing '@' still resolve.
