@@ -199,45 +199,53 @@ func main() {
 	}
 
 	s := c.suite()
-
-	if c.mode == modeWorkload {
-		res, err := s.RunNamed(c.workload, c.predictor, c.brConfig)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "brexp: -workload: %v\n", err)
-			os.Exit(1)
-		}
-		if c.asJSON {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(res); err != nil {
-				fmt.Fprintf(os.Stderr, "brexp: %v\n", err)
-				os.Exit(1)
-			}
-		} else {
-			fmt.Printf("%s under %s: IPC %.4f  MPKI %.4f  (%d instrs, %d cycles, %d mispredicts)\n",
-				res.Workload, res.Config, res.IPC, res.MPKI, res.Instrs, res.Cycles, res.Mispred)
-			if c.brConfig != "" {
-				fmt.Printf("chains     %d installed, avg %.1f uops, %.0f%% with affector/guard triggers\n",
-					res.Chains, res.AvgChainLen, 100*res.AGFraction)
-				fmt.Printf("DCE        %d uops (%d loads), %d syncs\n", res.DCEUops, res.DCELoads, res.Syncs)
-				fmt.Printf("merge acc  %.0f%% (WPB) vs %.0f%% (layout heuristic)\n",
-					100*res.MergeAcc, 100*res.MergeAccLayout)
-				fmt.Printf("breakdown  %v\n", res.Breakdown)
-			}
-		}
-		if c.trace.out != "" {
-			if err := c.runTrace(s, os.Stderr); err != nil {
-				fmt.Fprintf(os.Stderr, "brexp: -trace: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		return
-	}
-
-	if err := printFigures(os.Stdout, s, c.figure, c.asJSON); err != nil {
+	if err := c.render(os.Stdout, s); err != nil {
 		fmt.Fprintf(os.Stderr, "brexp: %v\n", err)
 		os.Exit(1)
 	}
+	if c.trace.out != "" {
+		if err := c.runTrace(s, os.Stderr); err != nil {
+			fmt.Fprintf(os.Stderr, "brexp: -trace: %v\n", err)
+			os.Exit(1)
+		}
+	}
+}
+
+// render prints to out what the selected mode prints to stdout: the
+// -workload point or the -figure selection.
+func (c *cli) render(out io.Writer, s *experiments.Suite) error {
+	if c.mode == modeWorkload {
+		return c.printWorkload(out, s)
+	}
+	return printFigures(out, s, c.figure, c.asJSON)
+}
+
+// printWorkload runs the -workload point and prints its metrics, plus the
+// Branch Runahead summary when -br is set; with -json it prints the whole
+// result instead.
+func (c *cli) printWorkload(out io.Writer, s *experiments.Suite) error {
+	res, err := s.RunNamed(c.workload, c.predictor, c.brConfig)
+	if err != nil {
+		return fmt.Errorf("-workload: %w", err)
+	}
+	if c.asJSON {
+		enc := json.NewEncoder(out)
+		enc.SetIndent("", "  ")
+		return enc.Encode(res)
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s under %s: IPC %.4f  MPKI %.4f  (%d instrs, %d cycles, %d mispredicts)\n",
+		res.Workload, res.Config, res.IPC, res.MPKI, res.Instrs, res.Cycles, res.Mispred)
+	if c.brConfig != "" {
+		fmt.Fprintf(&b, "chains     %d installed, avg %.1f uops, %.0f%% with affector/guard triggers\n",
+			res.Chains, res.AvgChainLen, 100*res.AGFraction)
+		fmt.Fprintf(&b, "DCE        %d uops (%d loads), %d syncs\n", res.DCEUops, res.DCELoads, res.Syncs)
+		fmt.Fprintf(&b, "merge acc  %.0f%% (WPB) vs %.0f%% (layout heuristic)\n",
+			100*res.MergeAcc, 100*res.MergeAccLayout)
+		fmt.Fprintf(&b, "breakdown  %v\n", res.Breakdown)
+	}
+	_, err = io.WriteString(out, b.String())
+	return err
 }
 
 // suite builds the experiment suite the figure and -workload modes run on,

@@ -18,7 +18,7 @@ const RuleSnapshotCoverage = "snapshot-coverage"
 // be referenced in the body of that method. Adding a mutable field to a
 // component without copying it would otherwise silently produce forks that
 // diverge from straight-through runs; intentionally-uncopied fields
-// (derived handles, scratch, free pools) are suppressed in place with
+// (scratch, free pools, wiring) are suppressed in place with
 // //brlint:allow snapshot-coverage.
 func SnapshotCoverage() *Analyzer {
 	return &Analyzer{
@@ -41,9 +41,10 @@ func runSnapshotCoverage(prog *Program) []Diagnostic {
 }
 
 // simPathMutatedFields collects every struct field assigned, incremented or
-// address-taken inside a function on (or call-graph-reachable from) the
-// simulation path. These are the fields whose values can differ between a
-// freshly built component and a warm one.
+// address-taken (explicitly, or by a pointer-receiver method call) inside a
+// function on (or call-graph-reachable from) the simulation path. These are
+// the fields whose values can differ between a freshly built component and
+// a warm one.
 func simPathMutatedFields(prog *Program) map[*types.Var]bool {
 	g := prog.CallGraph()
 	reach := g.Reachable(simPathRoots(g))
@@ -92,11 +93,29 @@ func simPathMutatedFields(prog *Program) map[*types.Var]bool {
 				if x.Op == token.AND {
 					record(node.Pkg, x.X)
 				}
+			case *ast.CallExpr:
+				// x.F.M() with a pointer-receiver M takes &x.F implicitly,
+				// as a counter's Inc does.
+				if sel, ok := x.Fun.(*ast.SelectorExpr); ok && takesImplicitAddr(node.Pkg, sel) {
+					record(node.Pkg, sel.X)
+				}
 			}
 			return true
 		})
 	}
 	return mutated
+}
+
+// takesImplicitAddr reports whether the method call sel() passes the
+// address of a non-pointer operand to a pointer receiver.
+func takesImplicitAddr(pkg *Package, sel *ast.SelectorExpr) bool {
+	s, ok := pkg.Info.Selections[sel]
+	if !ok || s.Kind() != types.MethodVal {
+		return false
+	}
+	_, ptrRecv := s.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer)
+	_, ptrOperand := pkg.Info.TypeOf(sel.X).Underlying().(*types.Pointer)
+	return ptrRecv && !ptrOperand
 }
 
 func snapshotCoveragePkg(prog *Program, pkg *Package, mutated map[*types.Var]bool) []Diagnostic {

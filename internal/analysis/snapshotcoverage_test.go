@@ -119,3 +119,35 @@ func (u *Unit) CopyFrom(w *Unit) { u.Counter = w.Counter }
 		t.Fatalf("diagnostic should name the mutated unexported field: %v", diags[0])
 	}
 }
+
+// TestSnapshotCoverageFlagsFieldMutatedThroughPointerMethod: a counter
+// field incremented through a pointer-receiver method (hits.Inc()) is
+// mutated as surely as one incremented with ++. A value-receiver read
+// (misses.Get()) mutates nothing.
+func TestSnapshotCoverageFlagsFieldMutatedThroughPointerMethod(t *testing.T) {
+	prog := loadFixture(t,
+		fixturePkg{
+			path: "repro/internal/core",
+			files: map[string]string{
+				"core.go": `package core
+type Counter uint64
+func (c *Counter) Inc()      { *c++ }
+func (c Counter) Get() uint64 { return uint64(c) }
+type Unit struct {
+	hits   Counter // incremented every cycle, missing from the copy
+	misses Counter // only read on the sim path: not checked
+}
+func (u *Unit) Cycle() uint64 { u.hits.Inc(); return u.misses.Get() }
+func (u *Unit) CopyFrom(w *Unit) {}
+`,
+			},
+		},
+	)
+	diags := diagStrings(prog, []*Analyzer{SnapshotCoverage()})
+	if len(diags) != 1 {
+		t.Fatalf("want 1 diagnostic (hits), got %v", diags)
+	}
+	if !strings.Contains(diags[0], "hits") || !strings.Contains(diags[0], "mutated on the sim path") {
+		t.Fatalf("diagnostic should name the field incremented through Inc: %v", diags[0])
+	}
+}

@@ -160,9 +160,9 @@ func TestDecodeRejectsInconsistentTraces(t *testing.T) {
 	}
 }
 
-// runCore drives a core to halt and returns its counter bytes plus
-// per-branch stats, the equality basis for replay conformance.
-func runCore(t *testing.T, c *core.Core) (string, map[uint64]core.BranchStat, uint64) {
+// runCore drives a core to halt and returns its counters plus per-branch
+// stats, the equality basis for replay conformance.
+func runCore(t *testing.T, c *core.Core) (core.CoreCounters, map[uint64]core.BranchStat, uint64) {
 	t.Helper()
 	if _, err := c.Run(100_000_000); err != nil {
 		t.Fatal(err)
@@ -174,7 +174,7 @@ func runCore(t *testing.T, c *core.Core) (string, map[uint64]core.BranchStat, ui
 	for pc, bs := range c.Branches {
 		branches[pc] = *bs
 	}
-	return c.C.String(), branches, c.Now()
+	return c.Ctr, branches, c.Now()
 }
 
 func TestReplayMatchesExecution(t *testing.T) {
@@ -192,7 +192,7 @@ func TestReplayMatchesExecution(t *testing.T) {
 		t.Fatalf("cycle count diverged: executed %d, replayed %d", nowE, nowR)
 	}
 	if ctrE != ctrR {
-		t.Fatal("counters diverged between executed and replayed runs")
+		t.Fatalf("counters diverged between executed and replayed runs:\nexecuted %+v\nreplayed %+v", ctrE, ctrR)
 	}
 	if !reflect.DeepEqual(brE, brR) {
 		t.Fatal("per-branch stats diverged between executed and replayed runs")

@@ -76,31 +76,14 @@ type Cache struct {
 	tr     *trace.Tracer //brlint:allow snapshot-coverage
 	trUnit uint64        //brlint:allow snapshot-coverage
 
-	// Counters: hits, misses, evictions, writebacks, pendingHits.
-	C *stats.Counters
-	// Ctr holds dense handles into C for the per-access events; see
-	// stats.Counter. The values live in C, which CopyFrom copies.
-	//brlint:allow snapshot-coverage
 	Ctr CacheCounters
 }
 
-// CacheCounters are pre-registered handles for the access-path events.
+// CacheCounters counts the access-path events.
 type CacheCounters struct {
 	Hits, Misses, PendingHits            stats.Counter
 	Writebacks, Evictions, PrefetchFills stats.Counter
 	MSHRFull                             stats.Counter
-}
-
-func newCacheCounters(c *stats.Counters) CacheCounters {
-	return CacheCounters{
-		Hits:          c.Handle("hits"),
-		Misses:        c.Handle("misses"),
-		PendingHits:   c.Handle("pending_hits"),
-		Writebacks:    c.Handle("writebacks"),
-		Evictions:     c.Handle("evictions"),
-		PrefetchFills: c.Handle("prefetch_fills"),
-		MSHRFull:      c.Handle("mshr_full"),
-	}
 }
 
 // Validate checks the cache geometry: the indexing math assumes a
@@ -146,9 +129,7 @@ func New(cfg Config, next MemLevel) *Cache {
 		nSets:   uint64(nSets),
 		lineOff: lineOff,
 		next:    next,
-		C:       stats.NewCounters(),
 	}
-	c.Ctr = newCacheCounters(c.C)
 	if cfg.Ports > 0 {
 		c.ports = make([]uint64, cfg.Ports)
 	}
@@ -393,13 +374,10 @@ type StreamPrefetcher struct {
 	below    MemLevel // level that sources prefetched data (DRAM)
 	// fill is hierarchy wiring (the LLC), re-attached by the machine
 	// builder, not CopyFrom.
-	fill    *Cache //brlint:allow snapshot-coverage
-	lineOff uint
-	clock   uint64
-	C       *stats.Counters
-	// prefetches is the dense handle for the per-issue counter; the value
-	// lives in C, which CopyFrom copies.
-	prefetches stats.Counter //brlint:allow snapshot-coverage
+	fill       *Cache //brlint:allow snapshot-coverage
+	lineOff    uint
+	clock      uint64
+	prefetches stats.Counter
 }
 
 type stream struct {
@@ -423,9 +401,7 @@ func NewStreamPrefetcher(nStreams, distance int, lineBytes int, below MemLevel) 
 		degree:   2,
 		below:    below,
 		lineOff:  lineOff,
-		C:        stats.NewCounters(),
 	}
-	p.prefetches = p.C.Handle("prefetches")
 	return p
 }
 
@@ -499,7 +475,7 @@ func (c *Cache) CopyFrom(w *Cache) {
 	c.lruClock = w.lruClock
 	copy(c.ports, w.ports)
 	c.outstanding = append(c.outstanding[:0], w.outstanding...)
-	c.C.CopyFrom(w.C)
+	c.Ctr = w.Ctr
 	if c.pf != nil {
 		c.pf.CopyFrom(w.pf)
 	}
@@ -509,5 +485,5 @@ func (c *Cache) CopyFrom(w *Cache) {
 func (p *StreamPrefetcher) CopyFrom(w *StreamPrefetcher) {
 	copy(p.streams, w.streams)
 	p.clock = w.clock
-	p.C.CopyFrom(w.C)
+	p.prefetches = w.prefetches
 }

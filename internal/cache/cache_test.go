@@ -63,8 +63,8 @@ func TestCachePendingHitMerges(t *testing.T) {
 	if mem.accesses != 1 {
 		t.Fatalf("pending hit issued %d memory accesses", mem.accesses)
 	}
-	if c.C.Get("pending_hits") != 1 {
-		t.Fatalf("pending_hits=%d", c.C.Get("pending_hits"))
+	if c.Ctr.PendingHits.Get() != 1 {
+		t.Fatalf("pending_hits=%d", c.Ctr.PendingHits.Get())
 	}
 }
 
@@ -94,8 +94,8 @@ func TestCacheWritebackOnDirtyEviction(t *testing.T) {
 	if mem.accesses != before+2 {
 		t.Fatalf("expected fill+writeback (2 accesses), got %d", mem.accesses-before)
 	}
-	if c.C.Get("writebacks") != 1 {
-		t.Fatalf("writebacks=%d", c.C.Get("writebacks"))
+	if c.Ctr.Writebacks.Get() != 1 {
+		t.Fatalf("writebacks=%d", c.Ctr.Writebacks.Get())
 	}
 }
 
@@ -109,7 +109,7 @@ func TestCacheMSHRBackpressure(t *testing.T) {
 	if d3 <= d1 && d3 <= d2 {
 		t.Fatalf("third miss not delayed: d1=%d d2=%d d3=%d", d1, d2, d3)
 	}
-	if c.C.Get("mshr_full") == 0 {
+	if c.Ctr.MSHRFull.Get() == 0 {
 		t.Fatal("mshr_full not counted")
 	}
 }
@@ -143,7 +143,7 @@ func TestStreamPrefetcherDetectsStream(t *testing.T) {
 	for i := uint64(0); i < 16; i++ {
 		l1.Access(i*1000, base+i*64, false)
 	}
-	if pf.C.Get("prefetches") == 0 {
+	if pf.prefetches.Get() == 0 {
 		t.Fatal("no prefetches issued for a sequential stream")
 	}
 	// A line well ahead of the demand stream should already be resident.
@@ -170,7 +170,7 @@ func TestDRAMRowHitVsConflict(t *testing.T) {
 	if hitLat >= confLat {
 		t.Fatalf("row hit (%d) should be faster than row conflict (%d)", hitLat, confLat)
 	}
-	if d.C.Get("row_hits") == 0 {
+	if d.Ctr.RowHits.Get() == 0 {
 		t.Fatal("no row hits recorded")
 	}
 }
@@ -211,12 +211,12 @@ func TestAccessSecondaryBypassesPorts(t *testing.T) {
 	}
 	// A secondary access at the same cycle must not be delayed by (or
 	// delay) the port: it models opportunistic use of idle port cycles.
-	before := c.C.Get("hits")
+	before := c.Ctr.Hits.Get()
 	ds := c.AccessSecondary(warm, 0x40)
 	if ds != warm+1 {
 		t.Fatalf("secondary hit completion %d, want %d", ds, warm+1)
 	}
-	if c.C.Get("hits") != before+1 {
+	if c.Ctr.Hits.Get() != before+1 {
 		t.Fatal("secondary access not counted as a hit")
 	}
 	// And it must not have consumed a primary port slot.
@@ -250,8 +250,8 @@ func TestTLBHitMissAndWalk(t *testing.T) {
 	if done <= 0 {
 		t.Fatalf("miss translated instantly: %d", done)
 	}
-	if tlb.C.Get("misses") != 1 {
-		t.Fatalf("misses=%d", tlb.C.Get("misses"))
+	if tlb.misses.Get() != 1 {
+		t.Fatalf("misses=%d", tlb.misses.Get())
 	}
 	// Same page later: hit, no added latency.
 	if got := tlb.Translate(done+5, 0x12FFF); got != done+5 {
@@ -259,8 +259,8 @@ func TestTLBHitMissAndWalk(t *testing.T) {
 	}
 	// Different page: new walk.
 	tlb.Translate(done+10, 0x99999999)
-	if tlb.C.Get("misses") != 2 {
-		t.Fatalf("misses=%d", tlb.C.Get("misses"))
+	if tlb.misses.Get() != 2 {
+		t.Fatalf("misses=%d", tlb.misses.Get())
 	}
 }
 
@@ -273,8 +273,8 @@ func TestTLBPendingWalkMerges(t *testing.T) {
 	if d2 != d1 {
 		t.Fatalf("pending walk did not merge: %d vs %d", d2, d1)
 	}
-	if tlb.C.Get("pending_hits") != 1 {
-		t.Fatalf("pending_hits=%d", tlb.C.Get("pending_hits"))
+	if tlb.pendingHits.Get() != 1 {
+		t.Fatalf("pending_hits=%d", tlb.pendingHits.Get())
 	}
 }
 
@@ -286,9 +286,9 @@ func TestTLBCapacityEviction(t *testing.T) {
 	for i := uint64(0); i < 16; i++ {
 		tlb.Translate(i*1000, i<<13)
 	}
-	before := tlb.C.Get("misses")
+	before := tlb.misses.Get()
 	tlb.Translate(100_000, 0) // page 0 long evicted
-	if tlb.C.Get("misses") != before+1 {
+	if tlb.misses.Get() != before+1 {
 		t.Fatal("evicted page did not miss")
 	}
 }

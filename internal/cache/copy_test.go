@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/simtest"
+	"repro/internal/stats"
 )
 
 // steadyMem is a stateless fixed-latency MemLevel backing the copy tests (the package's flatMem counts accesses, which would differ between
@@ -49,7 +50,7 @@ func TestCacheRoundTrip(t *testing.T) {
 	if c.lruClock != fresh.lruClock {
 		t.Fatal("copied LRU clock differs")
 	}
-	simtest.RequireDeepEqual(t, "cache counters", c.C.Snapshot(), fresh.C.Snapshot())
+	simtest.RequireDeepEqual(t, "cache counters", c.Ctr, fresh.Ctr)
 
 	for i := 0; i < 300; i++ {
 		now += next() % 5
@@ -77,7 +78,7 @@ func TestStreamPrefetcherRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(p.streams, fresh.streams) || p.clock != fresh.clock {
 		t.Fatal("copied prefetcher streams differ")
 	}
-	simtest.RequireDeepEqual(t, "prefetcher counters", p.C.Snapshot(), fresh.C.Snapshot())
+	simtest.RequireDeepEqual(t, "prefetcher counters", p.prefetches, fresh.prefetches)
 }
 
 func TestTLBRoundTrip(t *testing.T) {
@@ -95,5 +96,7 @@ func TestTLBRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(tl.entries, fresh.entries) || tl.clock != fresh.clock {
 		t.Fatal("copied TLB state differs")
 	}
-	simtest.RequireDeepEqual(t, "TLB counters", tl.C.Snapshot(), fresh.C.Snapshot())
+	simtest.RequireDeepEqual(t, "TLB counters",
+		[3]stats.Counter{tl.hits, tl.misses, tl.pendingHits},
+		[3]stats.Counter{fresh.hits, fresh.misses, fresh.pendingHits})
 }

@@ -21,10 +21,7 @@ type TLB struct {
 	next     MemLevel
 	clock    uint64
 
-	C *stats.Counters
-	// Dense handles for the per-translate events; the values live in C,
-	// which CopyFrom copies.
-	hits, misses, pendingHits stats.Counter //brlint:allow snapshot-coverage
+	hits, misses, pendingHits stats.Counter
 }
 
 type tlbEntry struct {
@@ -75,11 +72,7 @@ func NewTLB(cfg TLBConfig, next MemLevel) *TLB {
 		pageBits: cfg.PageBits,
 		walkLat:  cfg.WalkLat,
 		next:     next,
-		C:        stats.NewCounters(),
 	}
-	t.hits = t.C.Handle("hits")
-	t.misses = t.C.Handle("misses")
-	t.pendingHits = t.C.Handle("pending_hits")
 	return t
 }
 
@@ -138,5 +131,5 @@ func pteAddr(vpn uint64) uint64 {
 func (t *TLB) CopyFrom(w *TLB) {
 	copy(t.entries, w.entries)
 	t.clock = w.clock
-	t.C.CopyFrom(w.C)
+	t.hits, t.misses, t.pendingHits = w.hits, w.misses, w.pendingHits
 }

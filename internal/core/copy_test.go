@@ -47,7 +47,7 @@ func TestCoreRoundTrip(t *testing.T) {
 	simtest.RequireDeepEqual(t, "front-end flags", [2]bool{c.fe.invalid, c.fe.halted},
 		[2]bool{fresh.fe.invalid, fresh.fe.halted})
 	simtest.RequireDeepEqual(t, "branch stats", c.Branches, fresh.Branches)
-	simtest.RequireDeepEqual(t, "counters", c.C.Snapshot(), fresh.C.Snapshot())
+	simtest.RequireDeepEqual(t, "counters", c.Ctr, fresh.Ctr)
 	for pc, bs := range c.Branches {
 		if fresh.Branches[pc] == bs {
 			t.Fatalf("copy shares the branch statistics of pc %#x with the warm core", pc)

@@ -80,10 +80,6 @@ type Core struct {
 	tr *trace.Tracer //brlint:allow snapshot-coverage
 
 	// Stats.
-	C *stats.Counters
-	// Ctr holds dense handles into C; the values live in C, which
-	// CopyFrom copies.
-	//brlint:allow snapshot-coverage
 	Ctr      CoreCounters
 	Branches map[uint64]*BranchStat
 
@@ -146,35 +142,13 @@ func pushQueue[T any](buf, q []T, v T) []T {
 	return q
 }
 
-// CoreCounters holds dense handles into C for every per-cycle event, so the
-// simulate loop increments by slice index instead of hashing a string each
-// event (the string API on C remains for reporting).
+// CoreCounters counts the core's per-cycle events.
 type CoreCounters struct {
 	Cycles, Retired, RetiredCondBranches, Mispredicts stats.Counter
 	DCEPredictionsUsed, Recoveries, Flushes           stats.Counter
 	Issued, IssuedLoads, StoreForwards                stats.Counter
 	DispatchStallBackend, DispatchStallLSQ            stats.Counter
 	FetchStallICache, Fetched, FetchedWrongPath       stats.Counter
-}
-
-func newCoreCounters(c *stats.Counters) CoreCounters {
-	return CoreCounters{
-		Cycles:               c.Handle("cycles"),
-		Retired:              c.Handle("retired"),
-		RetiredCondBranches:  c.Handle("retired_cond_branches"),
-		Mispredicts:          c.Handle("mispredicts"),
-		DCEPredictionsUsed:   c.Handle("dce_predictions_used"),
-		Recoveries:           c.Handle("recoveries"),
-		Flushes:              c.Handle("flushes"),
-		Issued:               c.Handle("issued"),
-		IssuedLoads:          c.Handle("issued_loads"),
-		StoreForwards:        c.Handle("store_forwards"),
-		DispatchStallBackend: c.Handle("dispatch_stall_backend"),
-		DispatchStallLSQ:     c.Handle("dispatch_stall_lsq"),
-		FetchStallICache:     c.Handle("fetch_stall_icache"),
-		Fetched:              c.Handle("fetched"),
-		FetchedWrongPath:     c.Handle("fetched_wrong_path"),
-	}
 }
 
 // New wires a core over a program executed functionally at fetch time (the
@@ -202,10 +176,8 @@ func NewWithSource(cfg Config, src InstrSource, bp bpred.Predictor, hier Hierarc
 		bp:       bp,
 		hier:     hier,
 		ext:      ext,
-		C:        stats.NewCounters(),
 		Branches: make(map[uint64]*BranchStat),
 	}
-	c.Ctr = newCoreCounters(c.C)
 	if obs, ok := bp.(bpred.RetireObserver); ok {
 		c.bpObs = obs
 	}
@@ -378,7 +350,7 @@ func (c *Core) CopyFrom(w *Core) {
 		c.Branches[pc] = &branches[i]
 		i++
 	}
-	c.C.CopyFrom(w.C)
+	c.Ctr = w.Ctr
 	c.src.SetPos(w.src.Pos())
 }
 

@@ -99,7 +99,7 @@ func TestCoreMatchesFunctionalExecution(t *testing.T) {
 		t.Fatalf("core result %d != functional result %d", got, want)
 	}
 	// Retired micro-op count must equal functional step count.
-	if got, want := c.C.Get("retired"), ref.Steps; got != want {
+	if got, want := c.Ctr.Retired.Get(), ref.Steps; got != want {
 		t.Fatalf("core retired %d uops, functional executed %d", got, want)
 	}
 }
@@ -108,17 +108,17 @@ func TestCoreWrongPathActivity(t *testing.T) {
 	p, _, _ := sumBelowProgram(2000, 11)
 	c := New(DefaultConfig(), p, bpred.NewTAGESCL64(), testHierarchy(), nil)
 	runToHalt(t, c)
-	if c.C.Get("mispredicts") == 0 {
+	if c.Ctr.Mispredicts.Get() == 0 {
 		t.Fatal("data-dependent branch produced zero mispredictions")
 	}
-	if c.C.Get("fetched_wrong_path") == 0 {
+	if c.Ctr.FetchedWrongPath.Get() == 0 {
 		t.Fatal("no wrong-path micro-ops fetched despite mispredictions")
 	}
-	if c.C.Get("recoveries") == 0 {
+	if c.Ctr.Recoveries.Get() == 0 {
 		t.Fatal("no correct-path recoveries recorded")
 	}
 	// Wrong-path fetches never retire; retired count must be exact.
-	if c.C.Get("retired") > c.C.Get("fetched") {
+	if c.Ctr.Retired.Get() > c.Ctr.Fetched.Get() {
 		t.Fatal("retired more than fetched")
 	}
 }
@@ -156,7 +156,7 @@ func TestCoreIPCWithinPipelineBounds(t *testing.T) {
 	p, _, _ := sumBelowProgram(4000, 9)
 	c := New(DefaultConfig(), p, bpred.NewTAGESCL64(), testHierarchy(), nil)
 	runToHalt(t, c)
-	ipc := float64(c.C.Get("retired")) / float64(c.C.Get("cycles"))
+	ipc := float64(c.Ctr.Retired.Get()) / float64(c.Ctr.Cycles.Get())
 	if ipc <= 0.1 || ipc > 4.0 {
 		t.Fatalf("IPC %.2f outside sane bounds (0.1, 4.0]", ipc)
 	}
@@ -192,15 +192,15 @@ func TestCoreOracleOverrideEliminatesMispredicts(t *testing.T) {
 	if got := orac.Memory().Read(resultAddr, 8); got != want {
 		t.Fatalf("oracle run computed %d, want %d", got, want)
 	}
-	if m := orac.C.Get("mispredicts"); m != 0 {
+	if m := orac.Ctr.Mispredicts.Get(); m != 0 {
 		t.Fatalf("oracle override still mispredicted %d times", m)
 	}
-	baseIPC := float64(base.C.Get("retired")) / float64(base.C.Get("cycles"))
-	oracIPC := float64(orac.C.Get("retired")) / float64(orac.C.Get("cycles"))
+	baseIPC := float64(base.Ctr.Retired.Get()) / float64(base.Ctr.Cycles.Get())
+	oracIPC := float64(orac.Ctr.Retired.Get()) / float64(orac.Ctr.Cycles.Get())
 	if oracIPC <= baseIPC {
 		t.Fatalf("oracle IPC %.3f not better than baseline %.3f", oracIPC, baseIPC)
 	}
-	if orac.C.Get("dce_predictions_used") == 0 {
+	if orac.Ctr.DCEPredictionsUsed.Get() == 0 {
 		t.Fatal("DCE-used counter not incremented for overridden branches")
 	}
 }

@@ -27,7 +27,7 @@ func TestFetchWidthBound(t *testing.T) {
 	prev := uint64(0)
 	for i := 0; i < 10; i++ {
 		c.Cycle()
-		f := c.C.Get("fetched")
+		f := c.Ctr.Fetched.Get()
 		if f-prev > uint64(cfg.FetchWidth) {
 			t.Fatalf("fetched %d in one cycle, width %d", f-prev, cfg.FetchWidth)
 		}
@@ -51,10 +51,10 @@ func TestTakenBranchEndsFetchGroup(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		c.Cycle()
 	}
-	prev := c.C.Get("fetched")
+	prev := c.Ctr.Fetched.Get()
 	for i := 0; i < 10; i++ {
 		c.Cycle()
-		f := c.C.Get("fetched")
+		f := c.Ctr.Fetched.Get()
 		if f-prev > 3 { // cmp, br (+1 slack for the redirect boundary)
 			t.Fatalf("fetch group crossed a taken branch: %d uops", f-prev)
 		}
@@ -68,16 +68,16 @@ func TestColdICacheStallsFetch(t *testing.T) {
 	p := straightLine(16)
 	c := New(DefaultConfig(), p, bpred.NewBimodal(10), testHierarchy(), nil)
 	c.Cycle()
-	if c.C.Get("fetched") != 0 {
+	if c.Ctr.Fetched.Get() != 0 {
 		t.Fatal("fetched through a cold I-cache in cycle 0")
 	}
-	if c.C.Get("fetch_stall_icache") == 0 {
+	if c.Ctr.FetchStallICache.Get() == 0 {
 		t.Fatal("I-cache stall not recorded")
 	}
-	for i := 0; i < 400 && c.C.Get("fetched") == 0; i++ {
+	for i := 0; i < 400 && c.Ctr.Fetched.Get() == 0; i++ {
 		c.Cycle()
 	}
-	if c.C.Get("fetched") == 0 {
+	if c.Ctr.Fetched.Get() == 0 {
 		t.Fatal("fetch never unblocked after the I-cache fill")
 	}
 }
@@ -89,10 +89,10 @@ func TestDispatchBackpressure(t *testing.T) {
 	cfg.ROBSize = 8
 	c := New(cfg, p, bpred.NewBimodal(10), testHierarchy(), nil)
 	runToHalt(t, c)
-	if c.C.Get("dispatch_stall_backend") == 0 {
+	if c.Ctr.DispatchStallBackend.Get() == 0 {
 		t.Fatal("no backend dispatch stalls with an 8-entry ROB")
 	}
-	if got := c.C.Get("retired"); got != 201 {
+	if got := c.Ctr.Retired.Get(); got != 201 {
 		t.Fatalf("retired %d, want 201", got)
 	}
 }
@@ -115,7 +115,7 @@ func TestIPCApproachesWidthOnWarmLoop(t *testing.T) {
 	p := b.MustBuild()
 	c := New(DefaultConfig(), p, bpred.NewTAGESCL64(), testHierarchy(), nil)
 	runToHalt(t, c)
-	ipc := float64(c.C.Get("retired")) / float64(c.C.Get("cycles"))
+	ipc := float64(c.Ctr.Retired.Get()) / float64(c.Ctr.Cycles.Get())
 	if ipc > 4.0 {
 		t.Fatalf("IPC %.2f exceeds machine width", ipc)
 	}

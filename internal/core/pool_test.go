@@ -29,9 +29,9 @@ func TestDrainRefillsPoolAfterRecoveries(t *testing.T) {
 				budget, len(c.fe.free), len(c.fe.uops), len(c.issued))
 		}
 	}
-	if c.C.Get("recoveries") < 500 || c.C.Get("fetched_wrong_path") == 0 {
+	if c.Ctr.Recoveries.Get() < 500 || c.Ctr.FetchedWrongPath.Get() == 0 {
 		t.Fatalf("run was not recovery-heavy: %d recoveries, %d wrong-path fetches",
-			c.C.Get("recoveries"), c.C.Get("fetched_wrong_path"))
+			c.Ctr.Recoveries.Get(), c.Ctr.FetchedWrongPath.Get())
 	}
 }
 

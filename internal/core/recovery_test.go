@@ -65,10 +65,10 @@ func TestNestedRecoveryArchitecturalState(t *testing.T) {
 			t.Fatalf("memory at %#x: core %d, functional %d", addr, got, want)
 		}
 	}
-	if got, want := c.C.Get("retired"), ref.Steps; got != want {
+	if got, want := c.Ctr.Retired.Get(), ref.Steps; got != want {
 		t.Fatalf("retired %d, functional %d", got, want)
 	}
-	if c.C.Get("recoveries") == 0 {
+	if c.Ctr.Recoveries.Get() == 0 {
 		t.Fatal("program was supposed to mispredict")
 	}
 }
@@ -84,9 +84,9 @@ func TestRecoveryRestoresPredictorDeterminism(t *testing.T) {
 	a, b := mk(), mk()
 	runToHalt(t, a)
 	runToHalt(t, b)
-	if a.C.Get("cycles") != b.C.Get("cycles") || a.C.Get("mispredicts") != b.C.Get("mispredicts") {
+	if a.Ctr.Cycles.Get() != b.Ctr.Cycles.Get() || a.Ctr.Mispredicts.Get() != b.Ctr.Mispredicts.Get() {
 		t.Fatalf("nondeterminism: cycles %d vs %d, mispredicts %d vs %d",
-			a.C.Get("cycles"), b.C.Get("cycles"), a.C.Get("mispredicts"), b.C.Get("mispredicts"))
+			a.Ctr.Cycles.Get(), b.Ctr.Cycles.Get(), a.Ctr.Mispredicts.Get(), b.Ctr.Mispredicts.Get())
 	}
 }
 
@@ -138,7 +138,7 @@ func TestStoreToLoadForwarding(t *testing.T) {
 	ref.Run(1_000_000)
 	c := New(DefaultConfig(), p, bpred.NewBimodal(12), testHierarchy(), nil)
 	runToHalt(t, c)
-	if c.C.Get("store_forwards") == 0 {
+	if c.Ctr.StoreForwards.Get() == 0 {
 		t.Fatal("no store-to-load forwarding recorded")
 	}
 	if got, want := c.Memory().Read(0x5010, 8), ref.Mem.Read(0x5010, 8); got != want {

@@ -37,7 +37,7 @@ func TestWakeupMatchesOperandScan(t *testing.T) {
 					t.Fatalf("%s br=%v: %v", name, withBR, err)
 				}
 			}
-			if c.C.Get("flushes") == 0 {
+			if c.Ctr.Flushes.Get() == 0 {
 				t.Errorf("%s br=%v: ran no recovery, so no squash unlinked a consumer", name, withBR)
 			}
 		}

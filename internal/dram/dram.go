@@ -70,15 +70,11 @@ type DRAM struct {
 	chs []channel
 	// tr is the structured event tracer (nil when tracing is off);
 	// wiring is re-attached by the machine builder, not CopyFrom.
-	tr *trace.Tracer //brlint:allow snapshot-coverage
-	C  *stats.Counters
-	// Ctr holds dense handles into C for the per-request events; the
-	// values live in C, which CopyFrom copies.
-	//brlint:allow snapshot-coverage
+	tr  *trace.Tracer //brlint:allow snapshot-coverage
 	Ctr DRAMCounters
 }
 
-// DRAMCounters are pre-registered handles for the access-path events.
+// DRAMCounters counts the access-path events.
 type DRAMCounters struct {
 	Reads, Writes                    stats.Counter
 	RowHits, RowMisses, RowConflicts stats.Counter
@@ -113,17 +109,7 @@ func New(cfg Config) *DRAM {
 	if err := cfg.Validate(); err != nil {
 		panic("dram: " + err.Error())
 	}
-	d := &DRAM{cfg: cfg, C: stats.NewCounters()}
-	d.Ctr = DRAMCounters{
-		Reads:         d.C.Handle("reads"),
-		Writes:        d.C.Handle("writes"),
-		RowHits:       d.C.Handle("row_hits"),
-		RowMisses:     d.C.Handle("row_misses"),
-		RowConflicts:  d.C.Handle("row_conflicts"),
-		BankConflicts: d.C.Handle("bank_conflicts"),
-		BusConflicts:  d.C.Handle("bus_conflicts"),
-		QueueFull:     d.C.Handle("queue_full"),
-	}
+	d := &DRAM{cfg: cfg}
 	d.chs = make([]channel, cfg.Channels)
 	for i := range d.chs {
 		d.chs[i].banks = make([]bank, cfg.BanksPerCh)
@@ -265,5 +251,5 @@ func (d *DRAM) CopyFrom(w *DRAM) {
 		ch.busAt = wch.busAt
 		ch.queue = append(ch.queue[:0], wch.queue...)
 	}
-	d.C.CopyFrom(w.C)
+	d.Ctr = w.Ctr
 }

@@ -12,11 +12,11 @@ func TestRowBufferLocality(t *testing.T) {
 		done := d.Access(now, off, false)
 		now = done + 10
 	}
-	if d.C.Get("row_hits") < uint64(cfg.RowBytes/64-2) {
-		t.Fatalf("row hits %d, want nearly all of the streamed row", d.C.Get("row_hits"))
+	if d.Ctr.RowHits.Get() < uint64(cfg.RowBytes/64-2) {
+		t.Fatalf("row hits %d, want nearly all of the streamed row", d.Ctr.RowHits.Get())
 	}
-	if d.C.Get("row_conflicts") != 0 {
-		t.Fatalf("unexpected conflicts: %d", d.C.Get("row_conflicts"))
+	if d.Ctr.RowConflicts.Get() != 0 {
+		t.Fatalf("unexpected conflicts: %d", d.Ctr.RowConflicts.Get())
 	}
 }
 
@@ -53,7 +53,7 @@ func TestQueueBackpressure(t *testing.T) {
 		}
 		last = done
 	}
-	if d.C.Get("queue_full") == 0 {
+	if d.Ctr.QueueFull.Get() == 0 {
 		t.Fatal("queue back-pressure never engaged")
 	}
 	if last <= first {
@@ -90,7 +90,7 @@ func TestActivateWindowSpacing(t *testing.T) {
 		prevStart = done
 		now = done
 	}
-	if d.C.Get("row_conflicts") < 6 {
-		t.Fatalf("conflicts %d, want ping-pong conflicts", d.C.Get("row_conflicts"))
+	if d.Ctr.RowConflicts.Get() < 6 {
+		t.Fatalf("conflicts %d, want ping-pong conflicts", d.Ctr.RowConflicts.Get())
 	}
 }

@@ -25,13 +25,10 @@ type LayoutPredictor struct {
 	armed     bool
 	dist      int
 
-	C *stats.Counters
-	// ctr holds dense handles into C for the retire-path events; the
-	// values live in C.
 	ctr layoutCounters
 }
 
-// layoutCounters are pre-registered handles for the retire-path events.
+// layoutCounters counts the retire-path events.
 type layoutCounters struct {
 	sessions     stats.Counter
 	mergesFound  stats.Counter
@@ -41,13 +38,7 @@ type layoutCounters struct {
 // NewLayoutPredictor returns a layout-heuristic predictor with the given
 // maximum merge distance.
 func NewLayoutPredictor(maxDist int) *LayoutPredictor {
-	p := &LayoutPredictor{maxDist: maxDist, C: stats.NewCounters()}
-	p.ctr = layoutCounters{
-		sessions:     p.C.Handle("sessions"),
-		mergesFound:  p.C.Handle("merges_found"),
-		mergesMissed: p.C.Handle("merges_missed"),
-	}
-	return p
+	return &LayoutPredictor{maxDist: maxDist}
 }
 
 // OnFlush begins a session for a correct-path misprediction.
@@ -102,5 +93,5 @@ func (p *LayoutPredictor) OnRetire(d *core.DynUop) {
 // Accuracy returns the fraction of sessions whose predicted merge point was
 // reached.
 func (p *LayoutPredictor) Accuracy() float64 {
-	return stats.Rate(p.C.Get("merges_found"), p.C.Get("sessions"))
+	return stats.Rate(p.ctr.mergesFound.Get(), p.ctr.sessions.Get())
 }

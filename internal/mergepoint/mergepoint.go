@@ -139,13 +139,10 @@ type Predictor struct {
 	poison     DestSet
 	poisonDist int
 
-	C *stats.Counters
-	// ctr holds dense handles into C for the session-path events; the
-	// values live in C.
 	ctr mpCounters
 }
 
-// mpCounters are pre-registered handles for the retire-path events.
+// mpCounters counts the session-path events.
 type mpCounters struct {
 	sessions      stats.Counter
 	mergesFound   stats.Counter
@@ -175,14 +172,7 @@ func New(cfg Config, sink Sink) *Predictor {
 		panic("mergepoint: " + err.Error())
 	}
 	nSets := cfg.WPBEntries / cfg.WPBWays
-	p := &Predictor{cfg: cfg, sink: sink, nSets: nSets, C: stats.NewCounters()}
-	p.ctr = mpCounters{
-		sessions:      p.C.Handle("sessions"),
-		mergesFound:   p.C.Handle("merges_found"),
-		mergesMissed:  p.C.Handle("merges_missed"),
-		selfAffectors: p.C.Handle("self_affectors"),
-		affectees:     p.C.Handle("affectees"),
-	}
+	p := &Predictor{cfg: cfg, sink: sink, nSets: nSets}
 	p.sets = make([][]wpbEntry, nSets)
 	for i := range p.sets {
 		p.sets[i] = make([]wpbEntry, cfg.WPBWays)
@@ -429,5 +419,5 @@ func (p *Predictor) finish() {
 
 // Accuracy returns the fraction of sessions that found a merge point.
 func (p *Predictor) Accuracy() float64 {
-	return stats.Rate(p.C.Get("merges_found"), p.C.Get("sessions"))
+	return stats.Rate(p.ctr.mergesFound.Get(), p.ctr.sessions.Get())
 }

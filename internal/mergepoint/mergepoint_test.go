@@ -52,8 +52,8 @@ func TestMergePointFound(t *testing.T) {
 	// Correct path: the branch retires, then the merge instruction.
 	p.OnRetire(dyn(br(10), true, 0))
 	p.OnRetire(dyn(add(12, isa.R2, isa.R2), false, 0))
-	if p.C.Get("merges_found") != 1 {
-		t.Fatalf("merge not found: %v", p.C)
+	if p.ctr.mergesFound.Get() != 1 {
+		t.Fatalf("merge not found: %+v", p.ctr)
 	}
 	if p.Accuracy() != 1.0 {
 		t.Fatalf("accuracy %.2f", p.Accuracy())
@@ -184,8 +184,8 @@ func TestMergeSessionFailsOnSecondInstance(t *testing.T) {
 	// Correct path never touches wrong-path PCs; the branch comes again.
 	p.OnRetire(dyn(add(50, isa.R5, isa.R5), false, 0))
 	p.OnRetire(dyn(br(10), false, 0))
-	if p.C.Get("merges_missed") != 1 {
-		t.Fatalf("session did not fail: %v", p.C)
+	if p.ctr.mergesMissed.Get() != 1 {
+		t.Fatalf("session did not fail: %+v", p.ctr)
 	}
 }
 
@@ -196,7 +196,7 @@ func TestWrongPathFlushIgnored(t *testing.T) {
 	cause := dyn(br(10), true, 0)
 	cause.WrongPath = true
 	p.OnFlush(cause, []*core.DynUop{dyn(add(11, isa.R1, isa.R1), false, 0)})
-	if p.C.Get("sessions") != 0 {
+	if p.ctr.sessions.Get() != 0 {
 		t.Fatal("wrong-path flush started a session")
 	}
 }
@@ -260,7 +260,7 @@ func TestLayoutPredictorFailsOnNonLocalFlow(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		p.OnRetire(dyn(add(40+uint64(i%3), isa.R1, isa.R1), false, 0))
 	}
-	if p.C.Get("merges_missed") != 1 {
-		t.Fatalf("expected a miss: %v", p.C)
+	if p.ctr.mergesMissed.Get() != 1 {
+		t.Fatalf("expected a miss: %+v", p.ctr)
 	}
 }

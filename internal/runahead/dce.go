@@ -329,21 +329,19 @@ type DCE struct {
 	doneQ    eventHeap
 	doneBuf  []event
 
-	C *stats.Counters
-	// Dense handles for the engine's per-event counters; the values live in C.
-	ctr dceCounters
+	ctr DCECounters
 
 	// tr is the structured event tracer (nil when tracing is off).
 	tr *trace.Tracer
 }
 
-// dceCounters are pre-registered handles; uopsIssued and loadsIssued fire
+// DCECounters counts the engine's events; UopsIssued and LoadsIssued fire
 // once per DCE micro-op, the hottest counters in the engine.
-type dceCounters struct {
-	syncs, syncMiss, divergences         stats.Counter
-	initWindowFull, initQueueFull        stats.Counter
-	instances, predictiveFlushes         stats.Counter
-	completions, uopsIssued, loadsIssued stats.Counter
+type DCECounters struct {
+	Syncs, SyncMiss, Divergences         stats.Counter
+	InitWindowFull, InitQueueFull        stats.Counter
+	Instances, PredictiveFlushes         stats.Counter
+	Completions, UopsIssued, LoadsIssued stats.Counter
 }
 
 // NewDCE wires the engine.
@@ -351,28 +349,14 @@ func NewDCE(cfg *Config, dcache *cache.Cache, mem *emu.Memory, cc *ChainCache, p
 	if err := cfg.Validate(); err != nil {
 		panic("runahead: " + err.Error())
 	}
-	e := &DCE{
+	return &DCE{
 		cfg:      cfg,
 		dcache:   dcache,
 		mem:      mem,
 		cc:       cc,
 		pqs:      pqs,
 		initPred: bpred.NewCounterTable(10),
-		C:        stats.NewCounters(),
 	}
-	e.ctr = dceCounters{
-		syncs:             e.C.Handle("syncs"),
-		syncMiss:          e.C.Handle("sync_miss"),
-		divergences:       e.C.Handle("divergences"),
-		initWindowFull:    e.C.Handle("init_window_full"),
-		initQueueFull:     e.C.Handle("init_queue_full"),
-		instances:         e.C.Handle("instances"),
-		predictiveFlushes: e.C.Handle("predictive_flushes"),
-		completions:       e.C.Handle("completions"),
-		uopsIssued:        e.C.Handle("uops_issued"),
-		loadsIssued:       e.C.Handle("loads_issued"),
-	}
-	return e
 }
 
 // windowFree reports whether another instance fits.
@@ -402,10 +386,10 @@ func (e *DCE) Sync(now uint64, pc uint64, taken bool, regs *emu.RegFile) {
 	e.chainBuf = e.cc.Lookup(e.chainBuf, pc, taken)
 	matching := e.chainBuf[mark:]
 	if len(matching) == 0 {
-		e.ctr.syncMiss.Inc()
+		e.ctr.SyncMiss.Inc()
 		return
 	}
-	e.ctr.syncs.Inc()
+	e.ctr.Syncs.Inc()
 
 	// Deactivate stale instances of the affected chain families, including
 	// the mispredicting branch's own. The family PCs are kept sorted:
@@ -481,7 +465,7 @@ func (e *DCE) DeactivateFamily(now uint64, pc uint64) {
 	if q := e.pqs.For(pc); q != nil {
 		q.active = false
 	}
-	e.ctr.divergences.Inc()
+	e.ctr.Divergences.Inc()
 }
 
 func (e *DCE) kill(now uint64, in *Instance) {
@@ -521,12 +505,12 @@ func (e *DCE) queueResolve(in *Instance) {
 // queue refusal that queue is the next retry's hint.
 func (e *DCE) admit(now uint64, ch *Chain, hint *Queue) (*Queue, bool) {
 	if !e.windowFree() {
-		e.ctr.initWindowFull.Inc()
+		e.ctr.InitWindowFull.Inc()
 		return nil, false
 	}
 	q := e.pqs.ensureVia(hint, ch.BranchPC, now)
 	if q == nil || q.full() {
-		e.ctr.initQueueFull.Inc()
+		e.ctr.InitQueueFull.Inc()
 		return q, false
 	}
 	return q, true
@@ -625,7 +609,7 @@ func (e *DCE) launch(now uint64, ch *Chain, q *Queue, parent *Instance, regs *em
 			e.wakeUop(in, i)
 		}
 	}
-	e.ctr.instances.Inc()
+	e.ctr.Instances.Inc()
 	if e.tr.Enabled() {
 		e.tr.Emit(trace.Event{
 			Cycle: now, PC: ch.BranchPC, Seq: in.id, Kind: trace.KindChainInit, Arg: slot,
@@ -789,7 +773,7 @@ func (e *DCE) fireCompletionTriggers(now uint64, in *Instance) {
 		// Speculative initiations went down the wrong direction: flush
 		// everything younger and initiate the correct chains (paper §4.1).
 		e.flushYoungerThan(now, in)
-		e.ctr.predictiveFlushes.Inc()
+		e.ctr.PredictiveFlushes.Inc()
 	}
 	mark := len(e.chainBuf)
 	e.chainBuf = e.cc.Lookup(e.chainBuf, pc, in.outcome)
@@ -984,7 +968,7 @@ func (e *DCE) completeExecution(now uint64) {
 			in.outcome = in.outcomes[i]
 			in.completed = true
 			e.activeRun--
-			e.ctr.completions.Inc()
+			e.ctr.Completions.Inc()
 			if e.tr.Enabled() {
 				e.tr.Emit(trace.Event{
 					Cycle: now, PC: in.chain.BranchPC, Seq: in.id,
@@ -1048,7 +1032,7 @@ func (e *DCE) retryDeferred(now uint64) {
 		e.dropDeadDeferred()
 	}
 	if !e.windowFree() {
-		e.ctr.initWindowFull.Add(uint64(len(e.deferred)))
+		e.ctr.InitWindowFull.Add(uint64(len(e.deferred)))
 		return
 	}
 	// Refused entries stay in place until the first launch. A launch can
@@ -1156,7 +1140,7 @@ func (e *DCE) executeUop(now uint64, in *Instance, i int, u *ChainUop) {
 	in.issued[i] = true
 	in.unissued--
 	var doneAt uint64
-	e.ctr.uopsIssued.Inc()
+	e.ctr.UopsIssued.Inc()
 	switch u.Op {
 	case isa.OpLd:
 		addr := in.val(u.Src1) + uint64(u.Imm)
@@ -1173,7 +1157,7 @@ func (e *DCE) executeUop(now uint64, in *Instance, i int, u *ChainUop) {
 			start = e.dtlb.Translate(now, addr)
 		}
 		doneAt = e.dcache.AccessSecondary(start, addr)
-		e.ctr.loadsIssued.Inc()
+		e.ctr.LoadsIssued.Inc()
 	case isa.OpCmp:
 		b := in.val(u.Src2)
 		if u.UseImm {

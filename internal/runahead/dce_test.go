@@ -183,8 +183,8 @@ func TestDCEWindowBound(t *testing.T) {
 			t.Fatalf("window %d exceeded: %d active", cfg.Window, dce.activeRun)
 		}
 	}
-	if dce.C.Get("completions") < 20 {
-		t.Fatalf("engine stalled: %d completions", dce.C.Get("completions"))
+	if dce.ctr.Completions.Get() < 20 {
+		t.Fatalf("engine stalled: %d completions", dce.ctr.Completions.Get())
 	}
 }
 
@@ -195,8 +195,8 @@ func TestDCESyncMissIsCounted(t *testing.T) {
 	dce, _, _, _, _ := dceFixture(cfg)
 	var regs emu.RegFile
 	dce.Sync(0, 0x999, true, &regs)
-	if dce.C.Get("sync_miss") != 1 || dce.C.Get("instances") != 0 {
-		t.Fatalf("sync-miss handling: %v", dce.C)
+	if dce.ctr.SyncMiss.Get() != 1 || dce.ctr.Instances.Get() != 0 {
+		t.Fatalf("sync-miss handling: %+v", dce.ctr)
 	}
 }
 

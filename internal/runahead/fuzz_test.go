@@ -119,10 +119,10 @@ func TestFuzzArchitecturalEquivalence(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 
-		if got, want := base.C.Get("retired"), ref.Steps; got != want {
+		if got, want := base.Ctr.Retired.Get(), ref.Steps; got != want {
 			t.Fatalf("seed %d: baseline retired %d, functional executed %d", seed, got, want)
 		}
-		if got, want := withBR.C.Get("retired"), ref.Steps; got != want {
+		if got, want := withBR.Ctr.Retired.Get(), ref.Steps; got != want {
 			t.Fatalf("seed %d: BR run retired %d, functional executed %d", seed, got, want)
 		}
 		const dataBase, dataLen = uint64(0x10000), uint64(1 << 12)
@@ -157,7 +157,7 @@ func TestInitiationModeOrdering(t *testing.T) {
 		if _, err := c.Run(400_000); err != nil {
 			t.Fatal(err)
 		}
-		return 1000 * float64(c.C.Get("mispredicts")) / float64(c.C.Get("retired"))
+		return 1000 * float64(c.Ctr.Mispredicts.Get()) / float64(c.Ctr.Retired.Get())
 	}
 	ns := mpki(NonSpeculative)
 	ie := mpki(IndependentEarly)
@@ -189,7 +189,7 @@ func TestCoreOnlyConfigWorks(t *testing.T) {
 			sys := New(CoreOnly(), hier.DCache, c.Memory())
 			c.SetExtension(sys)
 			defer func() {
-				if c.C.Get("dce_predictions_used") == 0 {
+				if c.Ctr.DCEPredictionsUsed.Get() == 0 {
 					t.Fatal("core-only DCE never supplied a prediction")
 				}
 			}()
@@ -197,7 +197,7 @@ func TestCoreOnlyConfigWorks(t *testing.T) {
 		if _, err := c.Run(300_000); err != nil {
 			t.Fatal(err)
 		}
-		return 1000 * float64(c.C.Get("mispredicts")) / float64(c.C.Get("retired"))
+		return 1000 * float64(c.Ctr.Mispredicts.Get()) / float64(c.Ctr.Retired.Get())
 	}
 	base := run(false)
 	co := run(true)
@@ -223,7 +223,7 @@ func TestThrottleSuppressesAdversarialChains(t *testing.T) {
 		if _, err := c.Run(200_000); err != nil {
 			t.Fatal(err)
 		}
-		return c.C.Get("mispredicts")
+		return c.Ctr.Mispredicts.Get()
 	}
 	with := run(true)
 	without := run(false)

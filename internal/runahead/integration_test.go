@@ -72,11 +72,11 @@ func runWorkload(t *testing.T, cfg *Config, budget uint64) runResult {
 	if _, err := c.Run(budget); err != nil {
 		t.Fatal(err)
 	}
-	cycles := c.C.Get("cycles")
-	retired := c.C.Get("retired")
+	cycles := c.Ctr.Cycles.Get()
+	retired := c.Ctr.Retired.Get()
 	return runResult{
 		ipc:   float64(retired) / float64(cycles),
-		mpki:  1000 * float64(c.C.Get("mispredicts")) / float64(retired),
+		mpki:  1000 * float64(c.Ctr.Mispredicts.Get()) / float64(retired),
 		sys:   sys,
 		coreC: c,
 	}
@@ -88,19 +88,19 @@ func TestBranchRunaheadReducesMPKI(t *testing.T) {
 	mini := Mini()
 	br := runWorkload(t, &mini, budget)
 
-	if br.sys.C.Get("chains_installed") == 0 {
-		t.Fatalf("no chains extracted; extract_failed=%d", br.sys.C.Get("extract_failed"))
+	if br.sys.ChainsInstalled() == 0 {
+		t.Fatalf("no chains extracted; extract_failed=%d", br.sys.ctr.extractFailed.Get())
 	}
-	if br.sys.dce.C.Get("completions") == 0 {
+	if br.sys.dce.ctr.Completions.Get() == 0 {
 		t.Fatal("no chain instances completed")
 	}
-	if br.coreC.C.Get("dce_predictions_used") == 0 {
+	if br.coreC.Ctr.DCEPredictionsUsed.Get() == 0 {
 		t.Fatalf("DCE predictions never reached fetch; breakdown=%v", br.sys.PredictionBreakdown())
 	}
 	t.Logf("baseline: IPC=%.3f MPKI=%.2f", base.ipc, base.mpki)
 	t.Logf("mini BR : IPC=%.3f MPKI=%.2f breakdown=%v chains=%d syncs=%d",
 		br.ipc, br.mpki, br.sys.PredictionBreakdown(),
-		br.sys.C.Get("chains_installed"), br.sys.dce.C.Get("syncs"))
+		br.sys.ChainsInstalled(), br.sys.dce.ctr.Syncs.Get())
 	if br.mpki >= base.mpki*0.8 {
 		t.Fatalf("Branch Runahead did not reduce MPKI enough: base=%.2f br=%.2f", base.mpki, br.mpki)
 	}

@@ -40,7 +40,7 @@ func TestDCEPoolInvariants(t *testing.T) {
 				c.Cycle()
 				checkPool(t, sys.dce, where)
 			}
-			if sys.dce.C.Get("completions") == 0 {
+			if sys.dce.ctr.Completions.Get() == 0 {
 				t.Fatalf("%s: no chain instance completed", where)
 			}
 			if err := sys.Quiesce(c.Now()); err != nil {

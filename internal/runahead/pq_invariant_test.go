@@ -146,7 +146,7 @@ func TestPQPointerOrderAcrossRecoveryFlush(t *testing.T) {
 	if q.retire != 4 {
 		t.Fatalf("retire pointer %d after all retirements, want 4", q.retire)
 	}
-	if got := s.C.Get("pred_correct"); got != 4 {
+	if got := s.ctr.predCorrect.Get(); got != 4 {
 		t.Fatalf("pred_correct = %d, want 4", got)
 	}
 }

@@ -38,8 +38,6 @@ type System struct {
 	chainCount    uint64
 	chainAGTagged uint64
 
-	C *stats.Counters
-	// Dense handles for the per-branch-event counters; the values live in C.
 	ctr sysCounters
 
 	// tr is the structured event tracer (nil when tracing is off).
@@ -56,13 +54,12 @@ type System struct {
 	ext *extractor
 }
 
-// sysCounters are pre-registered handles for the prediction-accounting and
-// extraction events, incremented on the simulate path by index.
+// sysCounters counts the prediction-accounting and extraction events.
 type sysCounters struct {
 	syncSkippedLate, syncSkippedFilled    stats.Counter
 	predInactive, predLate, predThrottled stats.Counter
 	predCorrect, predIncorrect            stats.Counter
-	extractFailed, chainsInstalled        stats.Counter
+	extractFailed                         stats.Counter
 }
 
 // New builds a Branch Runahead system over the given D-cache and committed
@@ -77,18 +74,6 @@ func New(cfg Config, dcache *cache.Cache, mem *emu.Memory) *System {
 		ceb: NewCEB(cfg.CEBEntries),
 		cc:  NewChainCache(cfg.ChainCacheSize),
 		ext: newExtractor(),
-		C:   stats.NewCounters(),
-	}
-	s.ctr = sysCounters{
-		syncSkippedLate:   s.C.Handle("sync_skipped_late"),
-		syncSkippedFilled: s.C.Handle("sync_skipped_filled"),
-		predInactive:      s.C.Handle("pred_inactive"),
-		predLate:          s.C.Handle("pred_late"),
-		predThrottled:     s.C.Handle("pred_throttled"),
-		predCorrect:       s.C.Handle("pred_correct"),
-		predIncorrect:     s.C.Handle("pred_incorrect"),
-		extractFailed:     s.C.Handle("extract_failed"),
-		chainsInstalled:   s.C.Handle("chains_installed"),
 	}
 	s.pqs = NewPQSet(&s.cfg)
 	s.dce = NewDCE(&s.cfg, dcache, mem, s.cc, s.pqs)
@@ -105,8 +90,8 @@ func (s *System) SetTrace(tr *trace.Tracer) {
 	s.pqs.tr = tr
 }
 
-// DCEStats exposes engine counters for the harness.
-func (s *System) DCEStats() *stats.Counters { return s.dce.C }
+// DCEStats returns the engine's counters.
+func (s *System) DCEStats() DCECounters { return s.dce.ctr }
 
 // ShareTLB points the DCE at the core's D-TLB ("The DCE shares the D-Cache
 // and D-TLB with the core", §4.2).
@@ -118,6 +103,10 @@ func (s *System) MergeAccuracy() float64 { return s.mp.Accuracy() }
 // LayoutMergeAccuracy reports the prior-work layout heuristic's success
 // rate on the same flushes (the paper's ~78% comparison point).
 func (s *System) LayoutMergeAccuracy() float64 { return s.mpLayout.Accuracy() }
+
+// ChainsInstalled returns the number of extracted chains the chain cache
+// installed.
+func (s *System) ChainsInstalled() uint64 { return s.chainCount }
 
 // AvgChainLen returns the mean extracted chain length in micro-ops (Fig 2).
 func (s *System) AvgChainLen() float64 {
@@ -293,9 +282,6 @@ func (s *System) BranchResolved(now uint64, d *core.DynUop, correctRegs *emu.Reg
 					Val: trace.CatUsed, Flag: false,
 				})
 			}
-			if debugIncorrect != nil {
-				debugIncorrect(ref, d.Res.Taken)
-			}
 			if d.TagePred == d.Res.Taken && ref.q.throttle > -2 {
 				ref.q.throttle--
 			}
@@ -375,9 +361,6 @@ func (s *System) accountPrediction(now uint64, ref *slotRef, actual bool, d *cor
 			s.ctr.predCorrect.Inc()
 		} else {
 			s.ctr.predIncorrect.Inc()
-			if debugIncorrect != nil {
-				debugIncorrect(ref, actual)
-			}
 		}
 	}
 	// Advance the retire pointer past this slot.
@@ -430,7 +413,6 @@ func (s *System) extract(now uint64, pc uint64) {
 	}
 	installed := s.cc.Install(ch)
 	if installed {
-		s.ctr.chainsInstalled.Inc()
 		s.chainCount++
 		s.chainLenSum += uint64(len(ch.Uops))
 		if ch.HasAGTrigger() {
@@ -456,16 +438,6 @@ func (s *System) Tick(now uint64, info core.TickInfo) {
 // no-op, letting the core's dead-cycle skip fast-forward past the system.
 func (s *System) Idle() bool { return s.dce.Idle() }
 
-// UopsIssued returns the DCE's total issued micro-ops (Figure 3's numerator
-// contribution).
-func (s *System) UopsIssued() uint64 { return s.dce.ctr.uopsIssued.Get() }
-
-// LoadsIssued returns the DCE's total issued loads.
-func (s *System) LoadsIssued() uint64 { return s.dce.ctr.loadsIssued.Get() }
-
-// Syncs returns the DCE's synchronization count.
-func (s *System) Syncs() uint64 { return s.dce.ctr.syncs.Get() }
-
 // PredictionBreakdown returns Figure 12's categories for this run.
 func (s *System) PredictionBreakdown() map[string]uint64 {
 	return map[string]uint64{
@@ -476,9 +448,5 @@ func (s *System) PredictionBreakdown() map[string]uint64 {
 		"incorrect": s.ctr.predIncorrect.Get(),
 	}
 }
-
-// debugIncorrect, when set by a test, observes every incorrect used
-// prediction.
-var debugIncorrect func(ref *slotRef, actual bool)
 
 var _ core.Extension = (*System)(nil)

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -196,18 +197,23 @@ func (s *Server) submit(req Request) (*job, bool, error) {
 
 var errDraining = errors.New("server: draining, not accepting jobs")
 
-// registerTraces names every *.btr file under dir as a trace workload. It
+// registerTraces names every *.btr file in dir as a trace workload. A dir
+// that cannot be read (missing, or not a directory) is an error, so a
+// mistyped -trace-dir stops the server instead of serving no traces. It
 // runs once at server construction, before the handler serves anything, so
 // the registration-before-concurrency contract of workloads.RegisterTrace
 // holds.
 func registerTraces(dir string) error {
-	paths, err := filepath.Glob(filepath.Join(dir, "*.btr"))
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return fmt.Errorf("server: trace dir: %w", err)
 	}
-	for _, p := range paths {
-		name := strings.TrimSuffix(filepath.Base(p), ".btr")
-		if err := workloads.RegisterTrace(name, p); err != nil {
+	for _, e := range entries {
+		name, ok := strings.CutSuffix(e.Name(), ".btr")
+		if !ok || e.IsDir() {
+			continue
+		}
+		if err := workloads.RegisterTrace(name, filepath.Join(dir, e.Name())); err != nil {
 			return fmt.Errorf("server: trace dir: %w", err)
 		}
 	}

@@ -170,3 +170,20 @@ func TestServeRejectsTracePaths(t *testing.T) {
 		}
 	}
 }
+
+// TestNewRejectsUnreadableTraceDir: a -trace-dir that is missing or names a
+// regular file is a construction error, not a server that serves no traces.
+func TestNewRejectsUnreadableTraceDir(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "not-a-dir.btr")
+	if err := os.WriteFile(file, []byte("BRST"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, traceDir := range []string{filepath.Join(dir, "missing"), file} {
+		if _, err := New(Config{TraceDir: traceDir}); err == nil {
+			t.Errorf("New(TraceDir: %q) returned no error", traceDir)
+		} else if !strings.Contains(err.Error(), "trace dir") {
+			t.Errorf("New(TraceDir: %q) error %q does not name the trace dir", traceDir, err)
+		}
+	}
+}

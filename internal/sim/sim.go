@@ -469,10 +469,11 @@ func (m *machine) finish(boundary snap) *Result {
 		Flushes:      end.flushes - boundary.flushes,
 	}
 	if sys != nil {
-		res.DCEUops = sys.UopsIssued() - boundary.dceUops
-		res.DCELoads = sys.LoadsIssued() - boundary.dceLoads
-		res.Syncs = sys.Syncs() - boundary.syncs
-		res.Chains = sys.C.Get("chains_installed")
+		dce := sys.DCEStats()
+		res.DCEUops = dce.UopsIssued.Get() - boundary.dceUops
+		res.DCELoads = dce.LoadsIssued.Get() - boundary.dceLoads
+		res.Syncs = dce.Syncs.Get() - boundary.syncs
+		res.Chains = sys.ChainsInstalled()
 		res.AvgChainLen = sys.AvgChainLen()
 		res.AGFraction = sys.AGChainFraction()
 		res.MergeAcc = sys.MergeAccuracy()
@@ -515,7 +516,6 @@ type snap struct {
 }
 
 func snapshot(c *core.Core, sys *runahead.System, hier core.Hierarchy) snap {
-	// Reads go through the pre-registered dense handles, not the string API.
 	s := snap{
 		cycles:      c.Ctr.Cycles.Get(),
 		retired:     c.Ctr.Retired.Get(),
@@ -536,9 +536,10 @@ func snapshot(c *core.Core, sys *runahead.System, hier core.Hierarchy) snap {
 		s.perBranch[pc] = BranchResult{PC: pc, Execs: bs.Execs, Mispred: bs.Mispred}
 	}
 	if sys != nil {
-		s.dceUops = sys.UopsIssued()
-		s.dceLoads = sys.LoadsIssued()
-		s.syncs = sys.Syncs()
+		dce := sys.DCEStats()
+		s.dceUops = dce.UopsIssued.Get()
+		s.dceLoads = dce.LoadsIssued.Get()
+		s.syncs = dce.Syncs.Get()
 		s.breakdown = sys.PredictionBreakdown()
 	}
 	return s

@@ -5,83 +5,23 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
-// Counters is a named set of monotonically increasing event counts.
-//
-// Values live in a dense []uint64; the name-to-index map is consulted only
-// by the string API. Hot simulation loops pre-register a Counter handle at
-// construction time and increment through it, paying one slice index per
-// event instead of a string hash.
-type Counters struct {
-	idx   map[string]int
-	names []string
-	vals  []uint64
-}
-
-// NewCounters returns an empty counter set.
-func NewCounters() *Counters {
-	return &Counters{idx: make(map[string]int)}
-}
-
-// slot returns the dense index for name, registering it on first use.
-func (c *Counters) slot(name string) int {
-	if i, ok := c.idx[name]; ok {
-		return i
-	}
-	i := len(c.vals)
-	c.idx[name] = i
-	c.names = append(c.names, name)
-	c.vals = append(c.vals, 0)
-	return i
-}
-
-// Counter is a pre-registered dense handle to one counter. Handles stay
-// valid as further counters are registered, and all reads through the
-// owning Counters observe increments made through the handle.
-type Counter struct {
-	c *Counters
-	i int
-}
-
-// Handle registers name (idempotently) and returns its dense handle.
-func (c *Counters) Handle(name string) Counter { return Counter{c: c, i: c.slot(name)} }
+// Counter is a monotonically increasing event count. Components keep
+// their counters as plain struct fields, so the zero value is a counter
+// at zero, a fork copies them by assignment and an increment is a field
+// increment.
+type Counter uint64
 
 // Inc increments the counter by one.
-func (h Counter) Inc() { h.c.vals[h.i]++ }
+func (c *Counter) Inc() { *c++ }
 
 // Add increments the counter by n.
-func (h Counter) Add(n uint64) { h.c.vals[h.i] += n }
+func (c *Counter) Add(n uint64) { *c += Counter(n) }
 
 // Get returns the counter's value.
-func (h Counter) Get() uint64 { return h.c.vals[h.i] }
-
-// Get returns a counter's value (zero when never registered).
-func (c *Counters) Get(name string) uint64 {
-	if i, ok := c.idx[name]; ok {
-		return c.vals[i]
-	}
-	return 0
-}
-
-// Names returns the sorted counter names (registered handles included).
-func (c *Counters) Names() []string {
-	names := make([]string, len(c.names))
-	copy(names, c.names)
-	sort.Strings(names)
-	return names
-}
-
-// String renders all counters, one per line.
-func (c *Counters) String() string {
-	var b strings.Builder
-	for _, k := range c.Names() {
-		fmt.Fprintf(&b, "%-40s %12d\n", k, c.vals[c.idx[k]])
-	}
-	return b.String()
-}
+func (c Counter) Get() uint64 { return uint64(c) }
 
 // Rate returns num/den as a float, zero when den is zero.
 func Rate(num, den uint64) float64 {
@@ -202,25 +142,4 @@ func Mean(vals []float64) float64 {
 		sum += v
 	}
 	return sum / float64(len(vals))
-}
-
-// CopyFrom sets each counter registered in w to w's value, registering in c
-// the names it lacks; c's other counters keep their values. w is only read.
-func (c *Counters) CopyFrom(w *Counters) {
-	for i, name := range w.names {
-		j, ok := c.idx[name]
-		if !ok {
-			j = c.slot(name)
-		}
-		c.vals[j] = w.vals[i]
-	}
-}
-
-// Snapshot returns all counter values keyed by name (a detached copy).
-func (c *Counters) Snapshot() map[string]uint64 {
-	out := make(map[string]uint64, len(c.names))
-	for i, name := range c.names {
-		out[name] = c.vals[i]
-	}
-	return out
 }

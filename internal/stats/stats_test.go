@@ -8,60 +8,21 @@ import (
 )
 
 func TestCountersBasics(t *testing.T) {
-	c := NewCounters()
-	c.Handle("a").Inc()
-	c.Handle("a").Add(4)
-	c.Handle("b").Add(7)
-	if c.Get("a") != 5 || c.Get("b") != 7 || c.Get("missing") != 0 {
-		t.Fatalf("a=%d b=%d", c.Get("a"), c.Get("b"))
+	var c Counter
+	if c.Get() != 0 {
+		t.Fatalf("zero value reads %d", c.Get())
 	}
-	names := c.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("names = %v", names)
+	c.Inc()
+	c.Add(4)
+	if c.Get() != 5 {
+		t.Fatalf("Get = %d, want 5", c.Get())
 	}
-	if !strings.Contains(c.String(), "a") {
-		t.Fatal("String() missing counter")
-	}
-}
-
-func TestCounterHandles(t *testing.T) {
-	c := NewCounters()
-	h := c.Handle("hits")
-	h.Inc()
-	h.Add(3)
-	if h.Get() != 4 {
-		t.Fatalf("handle Get = %d, want 4", h.Get())
-	}
-	// Get observes handle increments, and handles to one name share it.
-	if c.Get("hits") != 4 {
-		t.Fatalf("Get(hits) = %d, want 4", c.Get("hits"))
-	}
-	c.Handle("hits").Inc()
-	if h.Get() != 5 {
-		t.Fatalf("handle misses another handle's increment: %d", h.Get())
-	}
-	// Handle registration is idempotent and stable across later growth.
-	h2 := c.Handle("hits")
-	for i := 0; i < 100; i++ {
-		c.Handle("filler" + string(rune('a'+i%26)) + string(rune('0'+i/26))).Inc()
-	}
-	h2.Inc()
-	if h.Get() != 6 || c.Get("hits") != 6 {
-		t.Fatalf("handle invalidated by growth: %d", h.Get())
-	}
-	// A registered-but-untouched handle shows up as zero.
-	c.Handle("idle")
-	if c.Get("idle") != 0 {
-		t.Fatal("untouched handle must read zero")
-	}
-	found := false
-	for _, n := range c.Names() {
-		if n == "idle" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("registered handle missing from Names()")
+	// A struct of counters increments each field on its own.
+	var set struct{ A, B Counter }
+	set.A.Inc()
+	set.B.Add(7)
+	if set.A.Get() != 1 || set.B.Get() != 7 {
+		t.Fatalf("A=%d B=%d", set.A.Get(), set.B.Get())
 	}
 }
 
